@@ -27,6 +27,9 @@ from .signal import PageMatrix, TimeSeries, from_page_matrix, smooth, to_page_ma
 from .stiefel import (
     MetricParams,
     StiefelPoint,
+    TangentVector,
+    _geodesic_columns,
+    _takes_action,
     exp_map,
     geodesic,
     normalize_and_scale,
@@ -105,11 +108,29 @@ def _perturb_factor(
     beta: float,
     metric: MetricParams,
     rng: np.random.Generator,
+    cols: int,
 ) -> tuple:
-    """Sample, scale and retract one factor. Returns (endpoint, tangent)."""
+    """Sample, scale and retract one factor. Returns (endpoint columns, tangent).
+
+    Only the leading cols columns of the endpoint are formed when a large
+    square factor is retracted through the exponential's action.
+    """
     raw = random_tangent(point, rng)
     scaled = normalize_and_scale(point, raw, beta, metric)
-    return exp_map(point, scaled, metric), scaled
+    if _takes_action(point, cols):
+        return _geodesic_columns(point, scaled, cols)[0].matrix, scaled
+    return exp_map(point, scaled, metric).matrix[:, :cols], scaled
+
+
+def _factor_path(
+    point: StiefelPoint, d: TangentVector, cols: int, steps: int, metric: MetricParams
+) -> list:
+    """Leading cols columns of the factor at t = 1/steps, ..., 1 along its geodesic."""
+    if _takes_action(point, cols):
+        return [p.matrix for p in _geodesic_columns(point, d, cols, steps)]
+    return [
+        geodesic(point, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)
+    ]
 
 
 def stiefelgen_matrix(
@@ -121,7 +142,8 @@ def stiefelgen_matrix(
 
     Tangents are always sampled for U first and V second, regardless of
     the beta values, so runs with the same seed share directions across
-    different beta settings.
+    different beta settings. In full-rank mode only the leading
+    min(m, n) columns of each retracted factor are formed.
 
     Raises:
         ValueError: for inputs smaller than 2 x 2 or rank >= min(m, n).
@@ -137,20 +159,19 @@ def stiefelgen_matrix(
     u1, sigma, v1h = np.linalg.svd(mat, full_matrices=True)
     v1 = v1h.conj().T
     metric = cfg.metric
+    k = sigma.shape[0]
 
     if cfg.rank is None:
         u_pt, v_pt = StiefelPoint(u1), StiefelPoint(v1)
-        u2, du = _perturb_factor(u_pt, cfg.beta_u, metric, rng)
-        v2, dv = _perturb_factor(v_pt, cfg.beta_v, metric, rng)
-        k = sigma.shape[0]
-        generated = (u2.matrix[:, :k] * sigma) @ v2.matrix[:, :k].conj().T
+        u2, du = _perturb_factor(u_pt, cfg.beta_u, metric, rng, k)
+        v2, dv = _perturb_factor(v_pt, cfg.beta_v, metric, rng, k)
+        generated = (u2 * sigma) @ v2.conj().T
     else:
         d = cfg.rank
-        k = sigma.shape[0]
         u_pt, v_pt = StiefelPoint(u1[:, :d]), StiefelPoint(v1[:, :d])
-        u2, du = _perturb_factor(u_pt, cfg.beta_u, metric, rng)
-        v2, dv = _perturb_factor(v_pt, cfg.beta_v, metric, rng)
-        generated = (u2.matrix * sigma[:d]) @ v2.matrix.conj().T
+        u2, du = _perturb_factor(u_pt, cfg.beta_u, metric, rng, d)
+        v2, dv = _perturb_factor(v_pt, cfg.beta_v, metric, rng, d)
+        generated = (u2 * sigma[:d]) @ v2.conj().T
         generated = generated + (u1[:, d:k] * sigma[d:]) @ v1h[d:k, :]
 
     return AugmentResult(generated=generated, factors=(u1, sigma, v1), tangents=(du, dv))
@@ -188,8 +209,9 @@ def geodesic_path(
 
     A single (tangent_u, tangent_v) pair is sampled, so the path
     interpolates one realization: element 0 is the input itself and
-    element `steps` is bitwise the one-shot stiefelgen_matrix output for
-    the same generator state.
+    element `steps` is the one-shot stiefelgen_matrix output for the
+    same generator state (bitwise when both factors take the dense
+    route, to rounding when a factor takes the exponential's action).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -207,12 +229,10 @@ def geodesic_path(
     dv = normalize_and_scale(v_pt, random_tangent(v_pt, rng), cfg.beta_v, metric)
 
     k = sigma.shape[0]
+    u_path = _factor_path(u_pt, du, k, steps, metric)
+    v_path = _factor_path(v_pt, dv, k, steps, metric)
     path = [mat.copy()]
-    for step in range(1, steps + 1):
-        t = step / steps
-        u_t = geodesic(u_pt, du, t, metric).matrix
-        v_t = geodesic(v_pt, dv, t, metric).matrix
-        path.append((u_t[:, :k] * sigma) @ v_t[:, :k].conj().T)
+    path += [(u_t * sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
     return path
 
 

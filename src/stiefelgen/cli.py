@@ -27,6 +27,10 @@ WAVES_T_POINTS = 200
 WAVES_T_SPAN = 4.0 * np.pi
 
 
+class UsageError(Exception):
+    """Bad command-line input caught after parsing; exits 2 like an argparse error."""
+
+
 def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
@@ -103,6 +107,8 @@ def _load_snapshots(args) -> SnapshotMatrix:
         x = np.linspace(-10.0, 10.0, WAVES_X_POINTS)
         t = np.linspace(0.0, WAVES_T_SPAN, WAVES_T_POINTS)
         return synth_spatiotemporal(x, t)
+    if args.inp is None:
+        raise UsageError("one of --in or --fixture is required")
     data = io.read_columns(args.inp)
     return SnapshotMatrix(data.astype(np.complex128), args.dt)
 
@@ -129,11 +135,13 @@ def _cmd_dmd_fit(args) -> int:
 
 def _cmd_dmd_ensemble(args) -> int:
     snaps = _load_snapshots(args)
+    index = args.spatial_index if args.spatial_index is not None else snaps.n_space // 2
+    if not 0 <= index < snaps.n_space:
+        raise UsageError(f"--spatial-index must lie in [0, {snaps.n_space}), got {index}")
     times = np.arange(snaps.n_time) * snaps.dt
     members = ensemble_forecast(
         snaps, args.rank, args.beta, args.count, times, np.random.default_rng(args.seed)
     )
-    index = args.spatial_index if args.spatial_index is not None else snaps.n_space // 2
     io.write_columns(args.out, members[:, index, :].T)
     _summary(
         f"dmd-ensemble: {args.count} members, rank={args.rank}, beta={args.beta}, "
@@ -143,9 +151,14 @@ def _cmd_dmd_ensemble(args) -> int:
 
 
 def _cmd_fboxplot(args) -> int:
+    try:
+        proportions = tuple(float(p) for p in args.proportions.split(","))
+    except ValueError:
+        raise UsageError(
+            f"--proportions must be comma-separated numbers, got {args.proportions!r}"
+        ) from None
     curves = io.read_columns(args.inp).T
     ens = FunctionalEnsemble(curves)
-    proportions = tuple(float(p) for p in args.proportions.split(","))
     box = functional_boxplot(ens, proportions, args.fence)
     io.write_json(
         args.out,
@@ -333,13 +346,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "func", None) in (_cmd_dmd_fit, _cmd_dmd_ensemble):
-        if args.fixture is None and args.inp is None:
-            print(f"{parser.prog}: one of --in or --fixture is required", file=sys.stderr)
-            return 2
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError, io.CsvParseError) as exc:
+    except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError, io.CsvParseError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:

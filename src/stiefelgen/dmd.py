@@ -121,6 +121,10 @@ def _fit(
     core = x2 @ (v_r / s_r)
     s_tilde = u_r.conj().T @ core
     mu, w = np.linalg.eig(s_tilde)
+    if np.any(mu == 0):
+        raise ValueError(
+            "the reduced operator has a zero eigenvalue, whose rate log(0)/dt is undefined"
+        )
     modes = core @ w
     omegas = np.log(mu) / snaps.dt
     amplitudes = np.linalg.pinv(modes) @ data[:, 0]
@@ -141,8 +145,8 @@ def fit_dmd(snaps: SnapshotMatrix, rank: int) -> DmdModel:
     snapshots of rank-exact data without an extra projection.
 
     Raises:
-        ValueError: for an out-of-range rank or ill-conditioned
-            truncation (condition above 1e12).
+        ValueError: for an out-of-range rank, an ill-conditioned
+            truncation (condition above 1e12) or a zero eigenvalue.
     """
     return _fit(snaps, rank)
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from stiefelgen import stiefel
 from stiefelgen.augment import (
     AugmentConfig,
     ambient_perturb,
@@ -198,6 +200,36 @@ class TestGeodesicPath:
         for step in geodesic_path(mat, AugmentConfig(beta_u=1.0, beta_v=1.0), 10, rng):
             got = np.linalg.svd(step, compute_uv=False)
             assert np.abs(got - want).max() < 1e-8
+
+    def test_wide_page_takes_action_route(self, monkeypatch):
+        # a 5 x 300 page: V is 300 x 300 of which 5 columns are used, so
+        # only the 5 x 5 U factor reaches the dense exponential
+        exp_shapes = []
+
+        def recording_exp(s):
+            exp_shapes.append(s.shape)
+            return scipy.linalg.expm(s)
+
+        monkeypatch.setattr(stiefel, "matrix_exp", recording_exp)
+        mat = np.random.default_rng(22).standard_normal((5, 300))
+        cfg = AugmentConfig(beta_u=1.0, beta_v=1.0)
+        want = np.linalg.svd(mat, compute_uv=False)
+        one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(23)).generated
+        assert np.abs(np.linalg.svd(one_shot, compute_uv=False) - want).max() < 1e-8
+        path = geodesic_path(mat, cfg, 20, np.random.default_rng(23))
+        assert len(path) == 21 and np.array_equal(path[0], mat)
+        for step in path[1:]:
+            assert np.abs(np.linalg.svd(step, compute_uv=False) - want).max() < 1e-8
+        assert np.abs(path[-1] - one_shot).max() < 1e-10
+        assert exp_shapes and set(exp_shapes) == {(5, 5)}
+
+    def test_dense_page_path_endpoint_is_one_shot_bitwise(self):
+        # both factors of a 24 x 16 page stay on the dense exponential
+        mat = sine_matrix()
+        cfg = AugmentConfig(beta_u=0.8, beta_v=0.8)
+        path = geodesic_path(mat, cfg, 10, np.random.default_rng(9))
+        one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(9))
+        assert np.array_equal(path[-1], one_shot.generated)
 
     def test_rejects_zero_steps(self, rng):
         with pytest.raises(ValueError, match="steps"):

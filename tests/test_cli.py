@@ -147,6 +147,42 @@ class TestOtherCommands:
         assert code == 0
         assert io.read_columns(out).shape == (200, 5)
 
+    @pytest.mark.parametrize("index", ["5000", "400", "-1"])
+    def test_dmd_ensemble_spatial_index_out_of_range(self, tmp_path, index, monkeypatch, capsys):
+        from stiefelgen import cli
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the ensemble was computed before the index check")
+
+        monkeypatch.setattr(cli, "ensemble_forecast", not_reached)
+        code = main(
+            ["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--count", "2",
+             "--spatial-index", index, "--out", str(tmp_path / "ens.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--spatial-index" in err[0]
+        assert not (tmp_path / "ens.csv").exists()
+
+    def test_dmd_fit_zero_eigenvalue_is_domain_error(self, tmp_path, capsys):
+        inp = tmp_path / "snaps.csv"
+        inp.write_text("1,0,0\n0,1,0\n")
+        code = main(["dmd-fit", "--in", str(inp), "--rank", "2", "--out", str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "zero eigenvalue" in err[0]
+
+    def test_fboxplot_bad_proportions_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "curves.csv"
+        io.write_columns(inp, np.random.default_rng(0).standard_normal((40, 5)))
+        code = main(
+            ["fboxplot", "--in", str(inp), "--out", str(tmp_path / "box.json"),
+             "--proportions", "0.5,abc"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--proportions" in err[0]
+
     def test_fboxplot_summary(self, tmp_path, rng):
         curves = np.sin(np.linspace(0, 5, 40)) + 0.1 * rng.standard_normal((9, 40))
         inp = tmp_path / "curves.csv"

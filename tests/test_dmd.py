@@ -89,6 +89,13 @@ class TestFitDmd:
         with pytest.raises(ValueError, match="ill-conditioned"):
             fit_dmd(snaps, rank=5)
 
+    def test_zero_eigenvalue_rejected(self):
+        # x0 = e1, x1 = e2, x2 = 0: the reduced operator is nilpotent, so
+        # log(mu) would give -inf rates
+        snaps = SnapshotMatrix(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), 1.0)
+        with pytest.raises(ValueError, match="zero eigenvalue"):
+            fit_dmd(snaps, rank=2)
+
 
 class TestForecast:
     def test_time_zero_reproduces_first_snapshot(self):

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_stiefel
+from stiefelgen import stiefel
 from stiefelgen.stiefel import (
     CANONICAL,
     EUCLIDEAN,
@@ -383,6 +385,43 @@ class TestExpMap:
             s = -c * (u @ a) @ u.T + d.delta @ u.T - u @ d.delta.T
             want = taylor_expm(s) @ u @ taylor_expm(alpha / (alpha + 1) * a)
             assert np.abs(out - want).max() < 1e-11
+
+
+class TestGeodesicColumns:
+    """The square-factor column retraction against the dense scipy.linalg.expm route."""
+
+    # 24 x 24 with 16 columns lies on the dense side of the switch, 300 x 300 with 5 on the action side
+    @pytest.mark.parametrize("m, cols", [(24, 16), (300, 5)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_matches_dense_expm_oracle(self, m, cols, complex_field, steps):
+        # steps=20 is the 21-point grid t = 0, 1/20, ..., 1 (t = 0 is not returned)
+        rng = np.random.default_rng(m + cols)
+        pt = random_stiefel(m, m, rng, complex_field)
+        d = normalize_and_scale(pt, random_tangent(pt, rng), 1.0)
+        a = pt.matrix.conj().T @ d.delta
+        got = stiefel._geodesic_columns(pt, d, cols, steps)
+        assert len(got) == steps
+        for step, point in enumerate(got, start=1):
+            want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :cols]
+            assert point.matrix.shape == (m, cols)
+            assert np.abs(point.matrix - want).max() < 1e-12
+            assert np.linalg.norm(point.matrix.conj().T @ point.matrix - np.eye(cols)) < 1e-8
+
+    @pytest.mark.parametrize(
+        "m, n, cols, action",
+        [(24, 24, 16, False), (300, 300, 5, True), (100, 100, 5, False), (300, 300, 40, False),
+         (128, 128, 8, True), (128, 128, 9, False), (300, 5, 5, False)],
+    )
+    def test_switch_depends_only_on_shape(self, m, n, cols, action):
+        pt = random_stiefel(m, n, np.random.default_rng(3))
+        assert stiefel._takes_action(pt, cols) is action
+
+    def test_zero_tangent_returns_base_columns(self, rng):
+        pt = random_stiefel(300, 300, rng)
+        zero = TangentVector(np.zeros((300, 300)), pt)
+        for point in stiefel._geodesic_columns(pt, zero, 5, 4):
+            assert np.array_equal(point.matrix, pt.matrix[:, :5])
 
 
 class TestGeodesic:
