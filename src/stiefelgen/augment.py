@@ -16,8 +16,6 @@ lose orthogonality against the untouched tail).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,15 +43,6 @@ __all__ = [
     "batch_generate",
     "ambient_perturb",
 ]
-
-
-def _worker_cap() -> int:
-    """Parallelism cap from the STIEFELGEN_THREADS environment variable."""
-    raw = os.environ.get("STIEFELGEN_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass(frozen=True)
@@ -133,6 +122,45 @@ def _factor_path(
     ]
 
 
+class _Factorization:
+    """SVD of one input matrix, computed once and shared by all of its draws.
+
+    u and v are the validated factor points that move: the full square
+    factors in full-rank mode, their leading `rank` columns otherwise.
+    The leading `cols` columns of each moved factor enter the
+    reconstruction (cols = min(m, n) in full-rank mode, rank otherwise);
+    in rank mode the remaining dyads are added back untouched.
+    """
+
+    def __init__(self, mat: np.ndarray, rank: int | None) -> None:
+        mat = np.asarray(mat)
+        if mat.ndim != 2 or min(mat.shape) < 2:
+            raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
+        if rank is not None and rank >= min(mat.shape):
+            raise ValueError(f"rank must be < min(m, n) = {min(mat.shape)}, got {rank}")
+        self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=True)
+        self.v1 = self.v1h.conj().T
+        self.cols = self.sigma.shape[0] if rank is None else rank
+        # [:, :None] keeps every column
+        self.u, self.v = StiefelPoint(self.u1[:, :rank]), StiefelPoint(self.v1[:, :rank])
+
+    def draw(self, cfg: AugmentConfig, rng: np.random.Generator) -> AugmentResult:
+        """One perturbed reconstruction; tangents are sampled for U first, then V."""
+        d, k = self.cols, self.sigma.shape[0]
+        u2, du = _perturb_factor(self.u, cfg.beta_u, cfg.metric, rng, d)
+        v2, dv = _perturb_factor(self.v, cfg.beta_v, cfg.metric, rng, d)
+        generated = (u2 * self.sigma[:d]) @ v2.conj().T
+        if d < k:
+            generated = generated + (self.u1[:, d:k] * self.sigma[d:]) @ self.v1h[d:k, :]
+        return AugmentResult(generated, (self.u1, self.sigma, self.v1), (du, dv))
+
+
+def _unpage(generated: np.ndarray, pm: PageMatrix, series: TimeSeries, smooth_len: int) -> TimeSeries:
+    """Inverse page reshape of a generated matrix, then the moving average."""
+    out = from_page_matrix(PageMatrix(generated, pm.original_length, pm.fit_strategy))
+    return smooth(TimeSeries(out.values, series.sample_interval), smooth_len)
+
+
 def stiefelgen_matrix(
     mat: np.ndarray,
     cfg: AugmentConfig,
@@ -149,32 +177,7 @@ def stiefelgen_matrix(
         ValueError: for inputs smaller than 2 x 2 or rank >= min(m, n).
         numpy.linalg.LinAlgError: if the SVD fails to converge.
     """
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or min(mat.shape) < 2:
-        raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
-    m, n = mat.shape
-    if cfg.rank is not None and cfg.rank >= min(m, n):
-        raise ValueError(f"rank must be < min(m, n) = {min(m, n)}, got {cfg.rank}")
-
-    u1, sigma, v1h = np.linalg.svd(mat, full_matrices=True)
-    v1 = v1h.conj().T
-    metric = cfg.metric
-    k = sigma.shape[0]
-
-    if cfg.rank is None:
-        u_pt, v_pt = StiefelPoint(u1), StiefelPoint(v1)
-        u2, du = _perturb_factor(u_pt, cfg.beta_u, metric, rng, k)
-        v2, dv = _perturb_factor(v_pt, cfg.beta_v, metric, rng, k)
-        generated = (u2 * sigma) @ v2.conj().T
-    else:
-        d = cfg.rank
-        u_pt, v_pt = StiefelPoint(u1[:, :d]), StiefelPoint(v1[:, :d])
-        u2, du = _perturb_factor(u_pt, cfg.beta_u, metric, rng, d)
-        v2, dv = _perturb_factor(v_pt, cfg.beta_v, metric, rng, d)
-        generated = (u2 * sigma[:d]) @ v2.conj().T
-        generated = generated + (u1[:, d:k] * sigma[d:]) @ v1h[d:k, :]
-
-    return AugmentResult(generated=generated, factors=(u1, sigma, v1), tangents=(du, dv))
+    return _Factorization(mat, cfg.rank).draw(cfg, rng)
 
 
 def stiefelgen_series(
@@ -193,10 +196,7 @@ def stiefelgen_series(
     short tail.
     """
     pm = to_page_matrix(series, m, strategy)
-    result = stiefelgen_matrix(pm.data, cfg, rng)
-    out = from_page_matrix(PageMatrix(result.generated, pm.original_length, pm.fit_strategy))
-    out = TimeSeries(out.values, series.sample_interval)
-    return smooth(out, cfg.smooth_len)
+    return _unpage(stiefelgen_matrix(pm.data, cfg, rng).generated, pm, series, cfg.smooth_len)
 
 
 def geodesic_path(
@@ -215,24 +215,16 @@ def geodesic_path(
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    mat = np.asarray(mat)
-    if mat.ndim != 2 or min(mat.shape) < 2:
-        raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
     if cfg.rank is not None:
         raise ValueError("geodesic paths support full-rank mode only")
-
-    u1, sigma, v1h = np.linalg.svd(mat, full_matrices=True)
-    v1 = v1h.conj().T
+    fac = _Factorization(mat, None)
     metric = cfg.metric
-    u_pt, v_pt = StiefelPoint(u1), StiefelPoint(v1)
-    du = normalize_and_scale(u_pt, random_tangent(u_pt, rng), cfg.beta_u, metric)
-    dv = normalize_and_scale(v_pt, random_tangent(v_pt, rng), cfg.beta_v, metric)
-
-    k = sigma.shape[0]
-    u_path = _factor_path(u_pt, du, k, steps, metric)
-    v_path = _factor_path(v_pt, dv, k, steps, metric)
-    path = [mat.copy()]
-    path += [(u_t * sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
+    du = normalize_and_scale(fac.u, random_tangent(fac.u, rng), cfg.beta_u, metric)
+    dv = normalize_and_scale(fac.v, random_tangent(fac.v, rng), cfg.beta_v, metric)
+    u_path = _factor_path(fac.u, du, fac.cols, steps, metric)
+    v_path = _factor_path(fac.v, dv, fac.cols, steps, metric)
+    path = [np.array(mat)]
+    path += [(u_t * fac.sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
     return path
 
 
@@ -245,24 +237,19 @@ def batch_generate(
 ) -> FunctionalEnsemble:
     """Ensemble of independent draws, one row per generated signal.
 
-    Per-draw RNG streams are spawned from cfg.seed, so the ensemble is
-    reproducible and draws may run concurrently (capped by the
-    STIEFELGEN_THREADS environment variable) without changing the
-    output or its ordering.
+    The series is paged and factored once; each draw then only perturbs,
+    reconstructs, reshapes and smooths. Draw k uses the k-th stream
+    spawned from cfg.seed, so row k equals stiefelgen_series on that
+    stream and the ensemble is reproducible.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    streams = np.random.SeedSequence(cfg.seed).spawn(count)
-
-    def draw(seq) -> np.ndarray:
-        return stiefelgen_series(series, m, cfg, np.random.default_rng(seq), strategy).values
-
-    workers = min(_worker_cap(), count)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(draw, streams))
-    else:
-        rows = [draw(seq) for seq in streams]
+    pm = to_page_matrix(series, m, strategy)
+    fac = _Factorization(pm.data, cfg.rank)
+    rows = [
+        _unpage(fac.draw(cfg, np.random.default_rng(seq)).generated, pm, series, cfg.smooth_len).values
+        for seq in np.random.SeedSequence(cfg.seed).spawn(count)
+    ]
     return FunctionalEnsemble(np.vstack(rows))
 
 

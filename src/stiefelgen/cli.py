@@ -186,6 +186,8 @@ def _cmd_shm_demo(args) -> int:
     master = np.random.SeedSequence(args.seed)
     data_seq, perturb_seq, track_seq = master.spawn(3)
     dataset = generate_shm_dataset(rng=np.random.default_rng(data_seq))
+    if args.track_index is not None and not 0 <= args.track_index < dataset.count:
+        raise UsageError(f"--track-index must lie in [0, {dataset.count}), got {args.track_index}")
     pca = fit_pca(dataset)
     model = fit_one_class(pca.points, nu=args.nu, gamma=args.gamma)
 
@@ -347,11 +349,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # overflow or an invalid operation exits 1 instead of warning and going on
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError, io.CsvParseError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 1
 

@@ -15,15 +15,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .augment import _perturb_factor
 from .fda import FunctionalEnsemble
-from .stiefel import (
-    CANONICAL,
-    MetricParams,
-    StiefelPoint,
-    exp_map,
-    normalize_and_scale,
-    random_tangent,
-)
+from .stiefel import CANONICAL, MetricParams, StiefelPoint
+
+# bench/tracer.py wraps these names in this module; the perturbation itself
+# goes through augment._perturb_factor.
+from .stiefel import exp_map, normalize_and_scale, random_tangent  # noqa: F401
 
 __all__ = [
     "SnapshotMatrix",
@@ -87,38 +85,29 @@ class DmdModel:
     dt: float
 
 
-def _fit(
-    snaps: SnapshotMatrix,
-    rank: int,
-    beta: float = 0.0,
-    metric: MetricParams = CANONICAL,
-    rng: np.random.Generator | None = None,
-) -> DmdModel:
-    data = snaps.data
-    m, n = data.shape
+def _truncate(snaps: SnapshotMatrix, rank: int) -> tuple:
+    """Rank-r truncated SVD (U_r, Sigma_r, V_r) of the first snapshot block.
+
+    Raises:
+        ValueError: for an out-of-range rank or a condition above MAX_CONDITION.
+    """
+    m, n = snaps.data.shape
     if not 1 <= rank <= min(m, n - 1):
         raise ValueError(f"rank must lie in [1, {min(m, n - 1)}], got {rank}")
-    x1 = data[:, :-1]
-    x2 = data[:, 1:]
-    u, s, vh = np.linalg.svd(x1, full_matrices=False)
+    u, s, vh = np.linalg.svd(snaps.data[:, :-1], full_matrices=False)
     s_r = s[:rank]
     if s_r[-1] <= 0 or s_r[0] / s_r[-1] > MAX_CONDITION:
         raise ValueError(
             f"truncated singular values are ill-conditioned (condition "
             f"{s_r[0] / max(s_r[-1], np.finfo(float).tiny):.2e})"
         )
-    u_r = u[:, :rank]
-    v_r = vh[:rank, :].conj().T
+    return u[:, :rank], s_r, vh[:rank, :].conj().T
 
-    if rng is not None:
-        u_pt = StiefelPoint(u_r)
-        v_pt = StiefelPoint(v_r)
-        du = normalize_and_scale(u_pt, random_tangent(u_pt, rng), beta, metric)
-        dv = normalize_and_scale(v_pt, random_tangent(v_pt, rng), beta, metric)
-        u_r = exp_map(u_pt, du, metric).matrix
-        v_r = exp_map(v_pt, dv, metric).matrix
 
-    core = x2 @ (v_r / s_r)
+def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.ndarray) -> DmdModel:
+    """The model whose reduced operator is S = U_r* X2 V_r inv(Sigma_r)."""
+    data = snaps.data
+    core = data[:, 1:] @ (v_r / s_r)
     s_tilde = u_r.conj().T @ core
     mu, w = np.linalg.eig(s_tilde)
     if np.any(mu == 0):
@@ -126,16 +115,27 @@ def _fit(
             "the reduced operator has a zero eigenvalue, whose rate log(0)/dt is undefined"
         )
     modes = core @ w
-    omegas = np.log(mu) / snaps.dt
-    amplitudes = np.linalg.pinv(modes) @ data[:, 0]
     return DmdModel(
         modes=modes,
         eigenvalues=mu,
-        omegas=omegas,
-        amplitudes=amplitudes,
-        rank=rank,
+        omegas=np.log(mu) / snaps.dt,
+        amplitudes=np.linalg.pinv(modes) @ data[:, 0],
+        rank=s_r.shape[0],
         dt=snaps.dt,
     )
+
+
+def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, metric, rng) -> DmdModel:
+    """Assemble from (U_r, Sigma_r, V_r) with U_r, then V_r, retracted along random geodesics."""
+    u_pt, s_r, v_pt = factors
+    u_r = _perturb_factor(u_pt, beta, metric, rng, u_pt.n)[0]
+    v_r = _perturb_factor(v_pt, beta, metric, rng, v_pt.n)[0]
+    return _assemble(snaps, u_r, s_r, v_r)
+
+
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
 def fit_dmd(snaps: SnapshotMatrix, rank: int) -> DmdModel:
@@ -148,7 +148,7 @@ def fit_dmd(snaps: SnapshotMatrix, rank: int) -> DmdModel:
         ValueError: for an out-of-range rank, an ill-conditioned
             truncation (condition above 1e12) or a zero eigenvalue.
     """
-    return _fit(snaps, rank)
+    return _assemble(snaps, *_truncate(snaps, rank))
 
 
 def perturbed_fit(
@@ -165,11 +165,11 @@ def perturbed_fit(
     formed. beta = 0 reproduces fit_dmd bitwise (the pipeline is
     shared), while the perturbed factors stay orthonormal for any beta.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     if rng is None:
         rng = np.random.default_rng()
-    return _fit(snaps, rank, beta, metric, rng)
+    u_r, s_r, v_r = _truncate(snaps, rank)
+    return _perturbed_model(snaps, (StiefelPoint(u_r), s_r, StiefelPoint(v_r)), beta, metric, rng)
 
 
 def forecast(model: DmdModel, times) -> np.ndarray:
@@ -189,17 +189,21 @@ def ensemble_forecast(
 ) -> np.ndarray:
     """Real parts of `count` independently perturbed forecasts.
 
-    Returns an array of shape (count, M, len(times)); member k uses the
-    k-th child stream spawned from rng, so the ensemble is deterministic
-    per seed. Use slice_ensemble to view one spatial location as a
-    FunctionalEnsemble.
+    Returns an array of shape (count, M, len(times)); member k equals
+    perturbed_fit on the k-th child stream spawned from rng, so the
+    ensemble is deterministic per seed. The truncated SVD is computed
+    once and shared by all members. Use slice_ensemble to view one
+    spatial location as a FunctionalEnsemble.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
+    _check_beta(beta)
+    u_r, s_r, v_r = _truncate(snaps, rank)
+    factors = (StiefelPoint(u_r), s_r, StiefelPoint(v_r))
     times = np.asarray(times, dtype=np.float64)
     out = np.empty((count, snaps.n_space, times.shape[0]))
     for member, child in enumerate(rng.spawn(count)):
-        model = perturbed_fit(snaps, rank, beta, rng=child)
+        model = _perturbed_model(snaps, factors, beta, CANONICAL, child)
         out[member] = forecast(model, times).real
     return out
 

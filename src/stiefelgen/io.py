@@ -26,13 +26,13 @@ __all__ = [
 
 
 class CsvParseError(ValueError):
-    """Malformed CSV cell, carrying its 1-based line and column."""
+    """Malformed CSV content, carrying the 1-based line and column where it was found."""
 
-    def __init__(self, path, line: int, column: int, cell: str):
+    def __init__(self, path, line: int, column: int, problem: str):
         self.path = path
         self.line = line
         self.column = column
-        super().__init__(f"{path}: non-numeric cell {cell!r} at line {line}, column {column}")
+        super().__init__(f"{path}: {problem}")
 
 
 def _fmt(x: float) -> str:
@@ -60,16 +60,18 @@ def _parse_rows(path) -> np.ndarray:
         if width is None:
             width = len(cells)
         if len(cells) != width:
-            raise CsvParseError(path, line_no, len(cells), raw)
+            problem = f"line {line_no} has {len(cells)} cell(s), expected {width}"
+            raise CsvParseError(path, line_no, min(len(cells), width) + 1, problem)
         parsed = []
         for col_no, cell in enumerate(cells, start=1):
             try:
                 parsed.append(float(cell))
             except ValueError:
-                raise CsvParseError(path, line_no, col_no, cell) from None
+                problem = f"non-numeric cell {cell!r} at line {line_no}, column {col_no}"
+                raise CsvParseError(path, line_no, col_no, problem) from None
         rows.append(parsed)
     if not rows:
-        raise CsvParseError(path, 1, 1, "<empty file>")
+        raise CsvParseError(path, 1, 1, "no numeric rows")
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -77,7 +79,7 @@ def read_series(path) -> TimeSeries:
     """Read a univariate series (single numeric column)."""
     data = _parse_rows(path)
     if data.shape[1] != 1:
-        raise CsvParseError(path, 1, data.shape[1], "<expected a single column>")
+        raise CsvParseError(path, 1, 2, f"expected a single column, got {data.shape[1]}")
     return TimeSeries(data[:, 0])
 
 

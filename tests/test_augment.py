@@ -260,13 +260,17 @@ class TestBatchGenerate:
         assert ens.curves.shape == (500, 2000)
         assert np.all(np.isfinite(ens.curves))
 
-    def test_thread_cap_does_not_change_output(self, monkeypatch):
+    @pytest.mark.parametrize("rank", [None, 3], ids=["full-rank", "rank-3"])
+    def test_rows_equal_series_on_spawned_streams(self, rank):
+        # the batch factors its page once; each row must still be the
+        # one-shot pipeline on its own spawned stream, bit for bit
         series = steam_like(400)
-        cfg = AugmentConfig(beta_u=0.2, beta_v=0.2, seed=14)
-        serial = batch_generate(series, 6, 20, cfg)
-        monkeypatch.setenv("STIEFELGEN_THREADS", "4")
-        threaded = batch_generate(series, 6, 20, cfg)
-        assert np.array_equal(serial.curves, threaded.curves)
+        cfg = AugmentConfig(beta_u=0.2, beta_v=0.5, smooth_len=3, rank=rank, seed=14)
+        ens = batch_generate(series, 6, 20, cfg)
+        streams = np.random.SeedSequence(14).spawn(6)
+        for k, seq in enumerate(streams):
+            direct = stiefelgen_series(series, 20, cfg, np.random.default_rng(seq))
+            assert np.array_equal(ens.curves[k], direct.values)
 
 
 class TestAmbientPerturb:

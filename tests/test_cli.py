@@ -1,6 +1,7 @@
 """Tests for the command-line interface and file interchange."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -87,6 +88,22 @@ class TestAugmentCommand:
         )
         assert code == 2
 
+    def test_multi_column_input_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "wide.csv"
+        io.write_columns(inp, np.arange(40.0).reshape(10, 4))
+        code = main(["augment", "--in", str(inp), "--out", str(tmp_path / "o.csv"), "--rows", "2"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("expected a single column, got 4")
+
+    def test_ragged_row_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "ragged.csv"
+        inp.write_text("1,2\n3,4\n5\n")
+        code = main(["fboxplot", "--in", str(inp), "--out", str(tmp_path / "box.json")])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("line 3 has 1 cell(s), expected 2")
+
     def test_domain_error_exit_code(self, tmp_path, signal_csv):
         inp, _ = signal_csv
         code = main(
@@ -125,6 +142,16 @@ class TestOtherCommands:
         code = main(["sphere", "--in", str(inp), "--out", str(out), "--seed", "4"])
         assert code == 0
         assert io.read_series(out).values.shape == values.shape
+
+    def test_overflow_is_one_line_domain_error(self, tmp_path, capsys):
+        inp = tmp_path / "huge.csv"
+        inp.write_text("1e300\n0.0\n2.0\n3.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sphere", "--in", str(inp), "--out", str(tmp_path / "o.csv")])
+        assert code == 1 and caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "overflow" in err[0]
 
     def test_dmd_fit_fixture_recovers_frequencies(self, tmp_path):
         out = tmp_path / "model.json"
@@ -223,6 +250,21 @@ class TestShmDemo:
         assert 0.1 - 2 / 50 <= payload["training_outlier_fraction"] <= 0.1 + 2 / 50
         assert len(payload["track_path"]) == 11
         assert io.read_columns(pts).shape == (50, 4)
+
+
+    def test_track_index_out_of_range_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        from stiefelgen import cli
+
+        def not_reached(*args, **kwargs):
+            raise AssertionError("the ranking loop ran before the index check")
+
+        monkeypatch.setattr(cli, "stiefelgen_matrix", not_reached)
+        out = tmp_path / "shm.json"
+        code = main(["shm-demo", "--out", str(out), "--track-index", "999"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--track-index must lie in [0, 50)" in err[0]
+        assert not out.exists()
 
 
 class TestDeterminism:

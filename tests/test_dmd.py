@@ -175,6 +175,33 @@ class TestEnsembleForecast:
         b = ensemble_forecast(snaps, 2, 0.2, 4, t, np.random.default_rng(6))
         assert np.array_equal(a, b)
 
+    def test_members_equal_perturbed_fit_on_spawned_streams(self):
+        # the ensemble shares one truncated SVD; member k must still be
+        # perturbed_fit on the k-th spawned stream, bit for bit
+        snaps, _, t = waves_fixture(60, 50)
+        members = ensemble_forecast(snaps, 2, 0.3, 4, t, np.random.default_rng(9))
+        for k, child in enumerate(np.random.default_rng(9).spawn(4)):
+            want = forecast(perturbed_fit(snaps, 2, 0.3, rng=child), t).real
+            assert np.array_equal(members[k], want)
+
+    @pytest.mark.parametrize(
+        "rank, beta, count, message",
+        [
+            (2, 1.5, 3, r"beta must lie in \[0, 1\], got 1.5"),
+            (0, 0.2, 3, r"rank must lie in \[1, 49\], got 0"),
+            (2, 0.2, 0, "count must be >= 1, got 0"),
+        ],
+    )
+    def test_rejects_bad_arguments(self, rank, beta, count, message, monkeypatch):
+        snaps, _, t = waves_fixture(60, 50)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the shared SVD was computed before the arguments were checked")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        with pytest.raises(ValueError, match=message):
+            ensemble_forecast(snaps, rank, beta, count, t, np.random.default_rng(0))
+
     def test_slice_view(self):
         snaps, _, t = waves_fixture(60, 50)
         members = ensemble_forecast(snaps, 2, 0.2, 4, t, np.random.default_rng(8))
