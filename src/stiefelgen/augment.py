@@ -27,6 +27,7 @@ from .stiefel import (
     StiefelPoint,
     TangentVector,
     _geodesic_columns,
+    _random_skew,
     _takes_action,
     exp_map,
     geodesic,
@@ -101,22 +102,30 @@ def _perturb_factor(
 ) -> tuple:
     """Sample, scale and retract one factor. Returns (endpoint columns, tangent).
 
-    Only the leading cols columns of the endpoint are formed when a large
-    square factor is retracted through the exponential's action.
+    A large square factor of which few columns are used is drawn as its
+    skew generator and retracted through the exponential's action on
+    those columns; every other factor goes through exp_map.
     """
-    raw = random_tangent(point, rng)
-    scaled = normalize_and_scale(point, raw, beta, metric)
     if _takes_action(point, cols):
-        return _geodesic_columns(point, scaled, cols)[0].matrix, scaled
+        a = _random_skew(point, beta, metric, rng)
+        return _geodesic_columns(point, a, cols)[0].matrix, TangentVector(point.matrix @ a, point)
+    scaled = normalize_and_scale(point, random_tangent(point, rng), beta, metric)
     return exp_map(point, scaled, metric).matrix[:, :cols], scaled
 
 
 def _factor_path(
-    point: StiefelPoint, d: TangentVector, cols: int, steps: int, metric: MetricParams
+    point: StiefelPoint,
+    beta: float,
+    metric: MetricParams,
+    rng: np.random.Generator,
+    cols: int,
+    steps: int,
 ) -> list:
-    """Leading cols columns of the factor at t = 1/steps, ..., 1 along its geodesic."""
+    """Sample one factor's direction; its leading cols columns at t = 1/steps, ..., 1."""
     if _takes_action(point, cols):
-        return [p.matrix for p in _geodesic_columns(point, d, cols, steps)]
+        a = _random_skew(point, beta, metric, rng)
+        return [p.matrix for p in _geodesic_columns(point, a, cols, steps)]
+    d = normalize_and_scale(point, random_tangent(point, rng), beta, metric)
     return [
         geodesic(point, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)
     ]
@@ -218,11 +227,8 @@ def geodesic_path(
     if cfg.rank is not None:
         raise ValueError("geodesic paths support full-rank mode only")
     fac = _Factorization(mat, None)
-    metric = cfg.metric
-    du = normalize_and_scale(fac.u, random_tangent(fac.u, rng), cfg.beta_u, metric)
-    dv = normalize_and_scale(fac.v, random_tangent(fac.v, rng), cfg.beta_v, metric)
-    u_path = _factor_path(fac.u, du, fac.cols, steps, metric)
-    v_path = _factor_path(fac.v, dv, fac.cols, steps, metric)
+    u_path = _factor_path(fac.u, cfg.beta_u, cfg.metric, rng, fac.cols, steps)
+    v_path = _factor_path(fac.v, cfg.beta_v, cfg.metric, rng, fac.cols, steps)
     path = [np.array(mat)]
     path += [(u_t * fac.sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
     return path

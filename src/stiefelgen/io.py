@@ -35,10 +35,6 @@ class CsvParseError(ValueError):
         super().__init__(f"{path}: {problem}")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _parse_rows(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         text = fh.read()
@@ -88,8 +84,8 @@ def write_series(path, series: TimeSeries, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(header + "\n")
-        for v in series.values:
-            fh.write(_fmt(v) + "\n")
+        for v in series.values.tolist():
+            fh.write("%.17g\n" % v)
 
 
 def read_columns(path) -> np.ndarray:
@@ -103,8 +99,10 @@ def write_columns(path, columns: np.ndarray, header: str | None = None) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(header + "\n")
+        # one % per row over Python floats; "%.17g" prints what format(v, ".17g") does
+        line = ",".join(["%.17g"] * columns.shape[1]) + "\n"
         for row in columns:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_json(path, payload: dict) -> None:

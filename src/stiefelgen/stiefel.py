@@ -199,12 +199,14 @@ def random_tangent(base: StiefelPoint, rng: np.random.Generator) -> TangentVecto
     and imaginary parts for complex bases) and projects onto the tangent
     space. Deterministic given the generator state.
     """
+    return project_to_tangent(base, _standard_normal(base, rng))
+
+
+def _standard_normal(base: StiefelPoint, rng: np.random.Generator) -> np.ndarray:
     shape = base.matrix.shape
     if base.is_complex:
-        ambient = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    else:
-        ambient = rng.standard_normal(shape)
-    return project_to_tangent(base, ambient)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return rng.standard_normal(shape)
 
 
 def _check_anchor(base: StiefelPoint, d: TangentVector) -> None:
@@ -232,7 +234,7 @@ def inner_product(
     if c != 0.0:
         u = base.matrix
         ua = _conj_t(u) @ a
-        ub = _conj_t(u) @ b
+        ub = ua if d2 is d1 else _conj_t(u) @ b
         val -= c * np.sum(ua.conj() * ub)
     return float(np.real(val))
 
@@ -308,22 +310,46 @@ def _takes_action(base: StiefelPoint, cols: int) -> bool:
     return m == n and m >= _ACTION_MIN_DIM and _ACTION_COL_RATIO * cols <= m
 
 
-def _geodesic_columns(base: StiefelPoint, d: TangentVector, cols: int, steps: int = 1) -> list:
-    """Leading columns of U exp_m(t A), A = U* delta, on a square base.
+def _random_skew(
+    base: StiefelPoint, beta: float, metric: MetricParams, rng: np.random.Generator
+) -> np.ndarray:
+    """A = U* delta of normalize_and_scale(base, random_tangent(base, rng), beta, metric), square base.
+
+    Draws the same normals G as random_tangent, so the generator's stream
+    is unchanged. At a square base the projected tangent has
+    U* delta = skew(U* G) and alpha-norm sqrt(1 - c) ||A||_F (Edelman,
+    Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998), so neither the
+    ambient projection nor a tangent check is formed. Equal to the
+    replay up to rounding; raises as normalize_and_scale does.
+    """
+    g = _standard_normal(base, rng)
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    if beta == 0.0:
+        return np.zeros_like(g)
+    x = _conj_t(base.matrix) @ g
+    a = (x - _conj_t(x)) / 2.0
+    norm = np.sqrt(max(1.0 - metric.weight_coefficient, 0.0)) * np.linalg.norm(a)
+    if norm == 0.0:
+        raise ValueError("cannot scale a zero tangent vector to a positive radius")
+    return a * (beta * INJECTIVITY_RADIUS / norm)
+
+
+def _geodesic_columns(base: StiefelPoint, a: np.ndarray, cols: int, steps: int = 1) -> list:
+    """Leading columns of U exp_m(t A) for a skew(-Hermitian) generator A on a square base.
 
     Returns one StiefelPoint of shape m x cols per t = 1/steps, 2/steps,
     ..., 1, from a single call to scipy's expm_multiply (the
     action-of-the-exponential algorithm of Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011) that evaluates exp_m(t A) I[:, :cols] on the whole
-    grid. Equal to exp_map's square route up to rounding.
+    grid. With A = U* delta, equal to exp_map's square route up to rounding.
     """
     u = base.matrix
-    if not np.any(d.delta):
+    if not np.any(a):
         return [StiefelPoint(u[:, :cols])] * steps
     # imported here, not at module load, where it added ~30 ms to every CLI start
     from scipy.sparse.linalg import expm_multiply
 
-    a = _conj_t(u) @ d.delta
     grid = expm_multiply(
         a, np.eye(u.shape[0], cols), start=0.0, stop=1.0, num=steps + 1, endpoint=True
     )

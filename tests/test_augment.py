@@ -14,6 +14,16 @@ from stiefelgen.augment import (
     stiefelgen_series,
 )
 from stiefelgen.signal import TimeSeries, to_page_matrix
+from stiefelgen.stiefel import (
+    INJECTIVITY_RADIUS,
+    StiefelPoint,
+    TangentVector,
+    exp_map,
+    geodesic,
+    normalize_and_scale,
+    random_tangent,
+    tangent_norm,
+)
 
 
 def steam_like(n=2000):
@@ -234,6 +244,69 @@ class TestGeodesicPath:
     def test_rejects_zero_steps(self, rng):
         with pytest.raises(ValueError, match="steps"):
             geodesic_path(sine_matrix(), AugmentConfig(), 0, rng)
+
+
+def wide_page(complex_field):
+    r = np.random.default_rng(31)
+    mat = r.standard_normal((5, 300))
+    return mat + 1j * r.standard_normal((5, 300)) if complex_field else mat
+
+
+def public_replay(mat, cfg, rng):
+    """Factor points and scaled tangents of mat through the public sample -> scale steps, U then V."""
+    u1, _, v1h = np.linalg.svd(mat, full_matrices=True)
+    points = StiefelPoint(u1), StiefelPoint(v1h.conj().T)
+    betas = cfg.beta_u, cfg.beta_v
+    return [(p, normalize_and_scale(p, random_tangent(p, rng), b, cfg.metric)) for p, b in zip(points, betas)]
+
+
+class TestWidePageSkewDraw:
+    """On a 5 x 300 page V is drawn as its skew generator; the public replay is the oracle."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
+    def test_matrix_matches_public_replay(self, complex_field, alpha):
+        mat = wide_page(complex_field)
+        cfg = AugmentConfig(beta_u=0.7, beta_v=1.0, alpha=alpha)
+        rng, replay_rng = np.random.default_rng(41), np.random.default_rng(41)
+        out = stiefelgen_matrix(mat, cfg, rng)
+        (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        u2 = exp_map(u_pt, du, cfg.metric).matrix
+        v2 = exp_map(v_pt, dv, cfg.metric).matrix[:, :5]
+        assert np.abs(out.generated - (u2 * out.factors[1]) @ v2.conj().T).max() < 1e-12
+        # the returned V tangent is a validated tangent of the scaled norm
+        tv = out.tangents[1]
+        assert np.array_equal(TangentVector(tv.delta, v_pt).delta, tv.delta)
+        assert abs(tangent_norm(v_pt, tv, cfg.metric) - INJECTIVITY_RADIUS) < 1e-12
+        assert np.abs(tv.delta - dv.delta).max() < 1e-12
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_path_matches_public_replay(self, complex_field, alpha, steps):
+        mat = wide_page(complex_field)
+        cfg = AugmentConfig(beta_u=0.9, beta_v=0.6, alpha=alpha)
+        rng, replay_rng = np.random.default_rng(43), np.random.default_rng(43)
+        path = geodesic_path(mat, cfg, steps, rng)
+        (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        s = np.linalg.svd(mat, compute_uv=False)
+        for step in sorted({steps // 2, steps} - {0}):
+            u_t = geodesic(u_pt, du, step / steps, cfg.metric).matrix
+            v_t = geodesic(v_pt, dv, step / steps, cfg.metric).matrix[:, :5]
+            assert np.abs(path[step] - (u_t * s) @ v_t.conj().T).max() < 1e-12
+
+    def test_zero_beta_gives_base_columns_bitwise(self):
+        mat = wide_page(False)
+        cfg = AugmentConfig(beta_u=0.5, beta_v=0.0)
+        rng, replay_rng = np.random.default_rng(47), np.random.default_rng(47)
+        out = stiefelgen_matrix(mat, cfg, rng)
+        (u_pt, du), (v_pt, _) = public_replay(mat, cfg, replay_rng)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert not np.any(out.tangents[1].delta)
+        u2 = exp_map(u_pt, du).matrix
+        assert np.array_equal(out.generated, (u2 * out.factors[1]) @ v_pt.matrix[:, :5].conj().T)
 
 
 class TestBatchGenerate:

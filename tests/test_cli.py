@@ -51,6 +51,16 @@ class TestIo:
         io.write_columns(path, data)
         assert np.array_equal(io.read_columns(path), data)
 
+    def test_written_bytes_equal_per_value_format(self, tmp_path):
+        edges = [-0.0, 5e-324, 1e300, 0.1, 1.0, -2.5e-17, 123456789.125]
+        data = np.array([edges + [np.inf], [np.nan] + edges[::-1]]).T
+        path = tmp_path / "m.csv"
+        io.write_columns(path, data, header="a,b")
+        want = "a,b\n" + "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in data.tolist())
+        assert path.read_bytes() == want.encode()
+        io.write_series(path, TimeSeries(edges))
+        assert path.read_bytes() == "".join(format(v, ".17g") + "\n" for v in edges).encode()
+
     def test_parse_error_reports_position(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("1.0\n2.0\nnot-a-number\n")

@@ -191,6 +191,13 @@ class TestInnerProduct:
             d = random_tangent(pt, rng)
             assert inner_product(pt, d, d, MetricParams(alpha)) > 0
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 2.0])
+    def test_norm_is_root_of_self_product_bitwise(self, rng, alpha):
+        pt = random_stiefel(9, 4, rng, complex_field=True)
+        d = random_tangent(pt, rng)
+        metric = MetricParams(alpha)
+        assert tangent_norm(pt, d, metric) == np.sqrt(inner_product(pt, d, d, metric))
+
     def test_anchor_mismatch_raises(self, rng):
         pt1 = random_stiefel(6, 3, rng)
         pt2 = random_stiefel(6, 3, rng)
@@ -400,7 +407,7 @@ class TestGeodesicColumns:
         pt = random_stiefel(m, m, rng, complex_field)
         d = normalize_and_scale(pt, random_tangent(pt, rng), 1.0)
         a = pt.matrix.conj().T @ d.delta
-        got = stiefel._geodesic_columns(pt, d, cols, steps)
+        got = stiefel._geodesic_columns(pt, a, cols, steps)
         assert len(got) == steps
         for step, point in enumerate(got, start=1):
             want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :cols]
@@ -419,9 +426,47 @@ class TestGeodesicColumns:
 
     def test_zero_tangent_returns_base_columns(self, rng):
         pt = random_stiefel(300, 300, rng)
-        zero = TangentVector(np.zeros((300, 300)), pt)
-        for point in stiefel._geodesic_columns(pt, zero, 5, 4):
+        for point in stiefel._geodesic_columns(pt, np.zeros((300, 300)), 5, 4):
             assert np.array_equal(point.matrix, pt.matrix[:, :5])
+
+
+class TestRandomSkew:
+    """The square-base skew draw against the public sample -> project -> scale replay."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
+    @pytest.mark.parametrize("beta", [0.3, 1.0])
+    def test_matches_public_replay(self, complex_field, alpha, beta):
+        pt = random_stiefel(40, 40, np.random.default_rng(5), complex_field)
+        metric = MetricParams(alpha)
+        rng, replay_rng = np.random.default_rng(17), np.random.default_rng(17)
+        a = stiefel._random_skew(pt, beta, metric, rng)
+        d = normalize_and_scale(pt, random_tangent(pt, replay_rng), beta, metric)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert np.array_equal(a, -a.conj().T)
+        assert np.abs(a - pt.matrix.conj().T @ d.delta).max() < 1e-12
+        got = TangentVector(pt.matrix @ a, pt)
+        assert abs(tangent_norm(pt, got, metric) - beta * INJECTIVITY_RADIUS) < 1e-12
+
+    def test_beta_zero_is_zero_and_keeps_the_stream(self):
+        pt = random_stiefel(300, 300, np.random.default_rng(6))
+        rng, replay_rng = np.random.default_rng(8), np.random.default_rng(8)
+        a = stiefel._random_skew(pt, 0.0, CANONICAL, rng)
+        random_tangent(pt, replay_rng)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert not np.any(a)
+        for point in stiefel._geodesic_columns(pt, a, 5, 3):
+            assert np.array_equal(point.matrix, pt.matrix[:, :5])
+
+    def test_raises_as_normalize_and_scale(self, rng):
+        pt = random_stiefel(6, 6, rng)
+        with pytest.raises(ValueError, match="beta"):
+            stiefel._random_skew(pt, 1.5, CANONICAL, rng)
+        # alpha < -1 gives c > 1, where the metric norm of every U A tangent clips to zero
+        with pytest.raises(ValueError, match="zero tangent"):
+            normalize_and_scale(pt, random_tangent(pt, rng), 0.5, MetricParams(-2.0))
+        with pytest.raises(ValueError, match="zero tangent"):
+            stiefel._random_skew(pt, 0.5, MetricParams(-2.0), rng)
 
 
 class TestGeodesic:
