@@ -25,15 +25,16 @@ from .signal import PageMatrix, TimeSeries, from_page_matrix, smooth, to_page_ma
 from .stiefel import (
     MetricParams,
     StiefelPoint,
-    TangentVector,
     _geodesic_columns,
     _random_skew,
     _takes_action,
-    exp_map,
     geodesic,
     normalize_and_scale,
     random_tangent,
 )
+
+# bench/tracer.py wraps this name here; the retraction goes through geodesic.
+from .stiefel import exp_map  # noqa: F401
 
 __all__ = [
     "AugmentConfig",
@@ -83,34 +84,12 @@ class AugmentConfig:
 class AugmentResult:
     """A generated matrix plus the factorization it came from.
 
-    factors holds (U1, sigma, V1) of the input; tangents the sampled
-    (scaled) directions. In full-rank mode the singular values of
-    `generated` equal sigma to within 1e-8.
+    factors holds (U1, sigma, V1) of the input. In full-rank mode the
+    singular values of `generated` equal sigma to within 1e-8.
     """
 
     generated: np.ndarray
     factors: tuple
-    tangents: tuple
-
-
-def _perturb_factor(
-    point: StiefelPoint,
-    beta: float,
-    metric: MetricParams,
-    rng: np.random.Generator,
-    cols: int,
-) -> tuple:
-    """Sample, scale and retract one factor. Returns (endpoint columns, tangent).
-
-    A large square factor of which few columns are used is drawn as its
-    skew generator and retracted through the exponential's action on
-    those columns; every other factor goes through exp_map.
-    """
-    if _takes_action(point, cols):
-        a = _random_skew(point, beta, metric, rng)
-        return _geodesic_columns(point, a, cols)[0].matrix, TangentVector(point.matrix @ a, point)
-    scaled = normalize_and_scale(point, random_tangent(point, rng), beta, metric)
-    return exp_map(point, scaled, metric).matrix[:, :cols], scaled
 
 
 def _factor_path(
@@ -119,9 +98,15 @@ def _factor_path(
     metric: MetricParams,
     rng: np.random.Generator,
     cols: int,
-    steps: int,
+    steps: int = 1,
 ) -> list:
-    """Sample one factor's direction; its leading cols columns at t = 1/steps, ..., 1."""
+    """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1.
+
+    A large square factor of which few columns are used is drawn as its
+    skew generator and retracted through the exponential's action on
+    those columns; every other factor goes through geodesic, whose
+    t = 1 point is exp_map's.
+    """
     if _takes_action(point, cols):
         a = _random_skew(point, beta, metric, rng)
         return [p.matrix for p in _geodesic_columns(point, a, cols, steps)]
@@ -156,12 +141,12 @@ class _Factorization:
     def draw(self, cfg: AugmentConfig, rng: np.random.Generator) -> AugmentResult:
         """One perturbed reconstruction; tangents are sampled for U first, then V."""
         d, k = self.cols, self.sigma.shape[0]
-        u2, du = _perturb_factor(self.u, cfg.beta_u, cfg.metric, rng, d)
-        v2, dv = _perturb_factor(self.v, cfg.beta_v, cfg.metric, rng, d)
+        u2 = _factor_path(self.u, cfg.beta_u, cfg.metric, rng, d)[0]
+        v2 = _factor_path(self.v, cfg.beta_v, cfg.metric, rng, d)[0]
         generated = (u2 * self.sigma[:d]) @ v2.conj().T
         if d < k:
             generated = generated + (self.u1[:, d:k] * self.sigma[d:]) @ self.v1h[d:k, :]
-        return AugmentResult(generated, (self.u1, self.sigma, self.v1), (du, dv))
+        return AugmentResult(generated, (self.u1, self.sigma, self.v1))
 
 
 def _unpage(generated: np.ndarray, pm: PageMatrix, series: TimeSeries, smooth_len: int) -> TimeSeries:
@@ -219,8 +204,8 @@ def geodesic_path(
     A single (tangent_u, tangent_v) pair is sampled, so the path
     interpolates one realization: element 0 is the input itself and
     element `steps` is the one-shot stiefelgen_matrix output for the
-    same generator state (bitwise when both factors take the dense
-    route, to rounding when a factor takes the exponential's action).
+    same generator state (bitwise when both factors go through exp_map,
+    to rounding when a factor takes the exponential's action).
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

@@ -19,7 +19,7 @@ from .novelty import (
     norm_change_ranking,
     perturb_and_track,
 )
-from .signal import PageMatrix, from_page_matrix, to_page_matrix
+from .signal import FIT_STRATEGIES, PageMatrix, from_page_matrix, to_page_matrix
 from .sphere import sphere_gen
 
 WAVES_X_POINTS = 400
@@ -35,14 +35,14 @@ def _summary(line: str) -> None:
     print(line, file=sys.stderr)
 
 
-def _config(args, default_smooth: int = 1) -> AugmentConfig:
+def _config(args) -> AugmentConfig:
     beta_u = args.beta_u if args.beta_u is not None else args.beta
     beta_v = args.beta_v if args.beta_v is not None else args.beta
     return AugmentConfig(
         beta_u=beta_u,
         beta_v=beta_v,
         alpha=args.alpha,
-        smooth_len=getattr(args, "smooth", default_smooth),
+        smooth_len=getattr(args, "smooth", 1),
         rank=getattr(args, "rank", None),
         seed=args.seed,
     )
@@ -211,6 +211,7 @@ def _cmd_shm_demo(args) -> int:
         model,
         np.random.default_rng(track_seq),
         steps=args.steps,
+        alpha=args.alpha,
     )
 
     train_decisions = model.decision(pca.points)
@@ -246,12 +247,11 @@ def _cmd_shm_demo(args) -> int:
     return 0
 
 
-def _add_perturbation_flags(p: argparse.ArgumentParser, smooth_default: int = 1) -> None:
+def _add_perturbation_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", type=float, default=0.0, help="perturbation scale for both factors")
     p.add_argument("--beta-u", dest="beta_u", type=float, default=None, help="column-space scale")
     p.add_argument("--beta-v", dest="beta_v", type=float, default=None, help="row-space scale")
     p.add_argument("--alpha", type=float, default=0.0, help="metric parameter (0 = canonical)")
-    p.add_argument("--smooth", type=int, default=smooth_default, help="moving-average window")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
 
 
@@ -267,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--rows", type=int, required=True, help="page-matrix row count m")
     p.add_argument("--rank", type=int, default=None, help="perturb only the leading d columns")
-    p.add_argument("--strategy", choices=["truncate", "pad_edge", "overlap"], default="pad_edge")
+    p.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
     _add_perturbation_flags(p)
+    p.add_argument("--smooth", type=int, default=1, help="moving-average window")
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("geodesic", help="series along one geodesic, one column per step")
@@ -276,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--strategy", choices=["truncate", "pad_edge", "overlap"], default="pad_edge")
+    p.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
     _add_perturbation_flags(p)
     p.set_defaults(func=_cmd_geodesic)
 
@@ -285,8 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--rows", type=int, required=True)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--strategy", choices=["truncate", "pad_edge", "overlap"], default="pad_edge")
+    p.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
     _add_perturbation_flags(p)
+    p.add_argument("--smooth", type=int, default=1, help="moving-average window")
     p.set_defaults(func=_cmd_batch)
 
     p = sub.add_parser("sphere", help="great-circle generation without a page matrix")

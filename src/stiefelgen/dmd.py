@@ -15,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import _perturb_factor
+from .augment import _factor_path
 from .fda import FunctionalEnsemble
 from .stiefel import CANONICAL, MetricParams, StiefelPoint
 
 # bench/tracer.py wraps these names in this module; the perturbation itself
-# goes through augment._perturb_factor.
+# goes through augment._factor_path.
 from .stiefel import exp_map, normalize_and_scale, random_tangent  # noqa: F401
 
 __all__ = [
@@ -128,8 +128,8 @@ def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.n
 def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, metric, rng) -> DmdModel:
     """Assemble from (U_r, Sigma_r, V_r) with U_r, then V_r, retracted along random geodesics."""
     u_pt, s_r, v_pt = factors
-    u_r = _perturb_factor(u_pt, beta, metric, rng, u_pt.n)[0]
-    v_r = _perturb_factor(v_pt, beta, metric, rng, v_pt.n)[0]
+    u_r = _factor_path(u_pt, beta, metric, rng, u_pt.n)[0]
+    v_r = _factor_path(v_pt, beta, metric, rng, v_pt.n)[0]
     return _assemble(snaps, u_r, s_r, v_r)
 
 

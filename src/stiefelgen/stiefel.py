@@ -367,12 +367,13 @@ def exp_map(
 
         exp_m(-(2a+1)/(a+1) U A U* + d U* - U d*) . U . exp_m(a/(a+1) A)
 
-    evaluated through one of three algebraically identical routes:
-    square bases reduce to U exp_m(A); when m >= 2n the first factor is
-    collapsed onto the invariant subspace spanned by [U | Q] (Q from the
-    QR of the normal component), giving a 2n x 2n exponential; otherwise
-    the dense m x m form is used. Every route multiplies exponentials of
-    skew matrices onto U, so the result is orthonormal by construction.
+    evaluated in one of two algebraically identical forms: a square base
+    reduces to U exp_m(A); for m > n the first factor acts on U through
+    the invariant subspace spanned by [U | Q], where Q and R come from
+    one QR of [U | K] with K = d - U A the normal component, giving an
+    (n + p) x (n + p) exponential with p = min(n, m - n) (Zimmermann &
+    Hueper, arXiv 2103.12046). Both forms multiply exponentials of skew
+    matrices onto U, so the result is orthonormal by construction.
 
     A tangent whose metric norm exceeds the injectivity radius is
     accepted with a warning (the exploration of the full radius is
@@ -404,23 +405,17 @@ def exp_map(
         return StiefelPoint(u @ matrix_exp(a_skew))
 
     c = (2.0 * alpha + 1.0) / (alpha + 1.0)
-    out = None
-    if m >= 2 * n:
-        k = delta - u @ a_skew
-        q, r = np.linalg.qr(k)
-        # QR of a rank-deficient normal component can emit completion
-        # columns that are not orthogonal to U; fall back to the dense
-        # route in that (measure-zero) case.
-        if np.max(np.abs(_conj_t(u) @ q)) < 1e-10:
-            block = np.zeros((2 * n, 2 * n), dtype=np.result_type(a_skew, r))
-            block[:n, :n] = (2.0 - c) * a_skew
-            block[:n, n:] = -_conj_t(r)
-            block[n:, :n] = r
-            e = matrix_exp(block)[:, :n]
-            out = u @ e[:n, :] + q @ e[n:, :]
-    if out is None:
-        s = -c * (u @ a_skew) @ _conj_t(u) + delta @ _conj_t(u) - u @ _conj_t(delta)
-        out = matrix_exp(s) @ u
+    # Householder keeps q[:, n:] orthogonal to U even for a rank-deficient K,
+    # and U* K = 0 leaves the dropped r[:n, n:] at rounding level
+    q, r = np.linalg.qr(np.hstack([u, delta - u @ a_skew]))
+    q, r = q[:, n:], r[n:, n:]
+    p = r.shape[0]
+    block = np.zeros((n + p, n + p), dtype=np.result_type(a_skew, r))
+    block[:n, :n] = (2.0 - c) * a_skew
+    block[:n, n:] = -_conj_t(r)
+    block[n:, :n] = r
+    e = matrix_exp(block)[:, :n]
+    out = u @ e[:n, :] + q @ e[n:, :]
     if mu != 0.0:
         out = out @ matrix_exp(mu * a_skew)
     return StiefelPoint(out)
@@ -442,4 +437,6 @@ def geodesic(
         )
     if t == 0.0:
         return base
+    if t == 1.0:
+        return exp_map(base, d, metric)
     return exp_map(base, d.scaled(t), metric)

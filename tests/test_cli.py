@@ -136,6 +136,16 @@ class TestOtherCommands:
         assert data.shape == (400, 5)
         assert np.abs(data[:, 0] - values).max() < 1e-12
 
+    def test_geodesic_has_no_smooth_flag(self, tmp_path, signal_csv, capsys):
+        # column 0 of a path is the input itself, so smoothing has no meaning there
+        inp, _ = signal_csv
+        out = tmp_path / "geo.csv"
+        code = main(["geodesic", "--in", str(inp), "--out", str(out), "--rows", "20",
+                     "--steps", "2", "--smooth", "3"])
+        assert code == 2
+        assert "--smooth" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_batch_shape(self, tmp_path, signal_csv):
         inp, _ = signal_csv
         out = tmp_path / "ens.csv"
@@ -261,6 +271,22 @@ class TestShmDemo:
         assert len(payload["track_path"]) == 11
         assert io.read_columns(pts).shape == (50, 4)
 
+    def test_alpha_reaches_tracked_path(self, tmp_path):
+        from stiefelgen.novelty import fit_one_class, fit_pca, generate_shm_dataset, perturb_and_track
+
+        out = tmp_path / "shm.json"
+        argv = ["shm-demo", "--out", str(out), "--alpha", "0.5", "--track-index", "3",
+                "--steps", "2", "--seed", "7"]
+        assert main(argv) == 0
+        # the tracked path runs on the third stream spawned from the seed
+        data_seq, _, track_seq = np.random.SeedSequence(7).spawn(3)
+        dataset = generate_shm_dataset(rng=np.random.default_rng(data_seq))
+        pca = fit_pca(dataset)
+        model = fit_one_class(pca.points, nu=0.1, gamma=1e-3)
+        path, _, _ = perturb_and_track(
+            dataset, 3, 1.0, pca, model, np.random.default_rng(track_seq), steps=2, alpha=0.5
+        )
+        assert np.array_equal(json.loads(out.read_text())["track_path"], np.array(path))
 
     def test_track_index_out_of_range_is_usage_error(self, tmp_path, monkeypatch, capsys):
         from stiefelgen import cli

@@ -329,19 +329,22 @@ class TestExpMap:
         assert np.abs(y - end.matrix).max() < 1e-6
 
     def test_reduced_and_dense_paths_agree(self):
-        # m >= 2n triggers the block form; rebuild the dense m x m form
-        # from the same definition and compare
+        # every m > n takes the block form, m >= 2n and n < m < 2n alike;
+        # rebuild the dense m x m form from the same definition and compare
         rng = np.random.default_rng(31)
-        for alpha in (0.0, -0.5, 1.5):
+        cases = [(shape, complex_field, alpha) for shape in [(9, 3), (6, 5), (7, 4)]
+                 for complex_field in (False, True) for alpha in (0.0, -0.5, 1.5)]
+        for shape, complex_field, alpha in cases:
             metric = MetricParams(alpha)
-            pt = random_stiefel(9, 3, rng)
+            pt = random_stiefel(*shape, rng, complex_field)
             d = normalize_and_scale(pt, random_tangent(pt, rng), 0.6, metric)
             got = exp_map(pt, d, metric)
 
             u, delta = pt.matrix, d.delta
-            a = u.T @ delta
+            uh, dh = u.conj().T, delta.conj().T
+            a = uh @ delta
             c = (2.0 * alpha + 1.0) / (alpha + 1.0)
-            s = -c * (u @ a) @ u.T + delta @ u.T - u @ delta.T
+            s = -c * (u @ a) @ uh + delta @ uh - u @ dh
             dense = taylor_expm(s) @ u @ taylor_expm(alpha / (alpha + 1.0) * a)
             assert np.abs(got.matrix - dense).max() < 1e-11
 
@@ -378,20 +381,28 @@ class TestExpMap:
             exp_map(pt, d)
 
     def test_degenerate_normal_component_falls_back_to_dense(self, rng):
-        # a pure U A tangent has a zero normal component, so the QR of
-        # the reduced path is meaningless and the guard must reroute
+        # a pure U A tangent has a zero normal component K, and a rank-1 K
+        # with a zero first column leaves the QR's leading pivot at rounding
+        # level; the block form built from the QR of [U | K] must match the
+        # dense form for both
         pt = random_stiefel(8, 3, rng)
+        u = pt.matrix
         raw = rng.standard_normal((3, 3))
         a = raw - raw.T
-        d = TangentVector(pt.matrix @ a, pt)
-        for alpha in (0.0, -0.5, 2.0):
-            metric = MetricParams(alpha)
-            out = exp_map(pt, d, metric).matrix
-            u = pt.matrix
-            c = (2 * alpha + 1) / (alpha + 1)
-            s = -c * (u @ a) @ u.T + d.delta @ u.T - u @ d.delta.T
-            want = taylor_expm(s) @ u @ taylor_expm(alpha / (alpha + 1) * a)
-            assert np.abs(out - want).max() < 1e-11
+        normal = rng.standard_normal(8)
+        normal -= u @ (u.T @ normal)
+        weights = np.array([0.0, *rng.standard_normal(2)])
+        # Frobenius norm 0.5 keeps the tangent inside the injectivity radius
+        rank_one = 0.5 * np.outer(normal / np.linalg.norm(normal), weights / np.linalg.norm(weights))
+        for k in (np.zeros((8, 3)), rank_one):
+            d = TangentVector(u @ a + k, pt)
+            for alpha in (0.0, -0.5, 2.0):
+                metric = MetricParams(alpha)
+                out = exp_map(pt, d, metric).matrix
+                c = (2 * alpha + 1) / (alpha + 1)
+                s = -c * (u @ a) @ u.T + d.delta @ u.T - u @ d.delta.T
+                want = taylor_expm(s) @ u @ taylor_expm(alpha / (alpha + 1) * a)
+                assert np.abs(out - want).max() < 1e-11
 
 
 class TestGeodesicColumns:
@@ -480,7 +491,7 @@ class TestGeodesic:
         d = normalize_and_scale(pt, random_tangent(pt, rng), 0.5)
         a = geodesic(pt, d, 1.0)
         b = exp_map(pt, d)
-        assert np.abs(a.matrix - b.matrix).max() < 1e-12
+        assert np.array_equal(a.matrix, b.matrix)
 
     def test_interior_points_stay_on_manifold(self):
         rng = np.random.default_rng(8)
