@@ -25,6 +25,7 @@ from .signal import PageMatrix, TimeSeries, from_page_matrix, smooth, to_page_ma
 from .stiefel import (
     MetricParams,
     StiefelPoint,
+    _built,
     _geodesic_columns,
     _random_skew,
     _takes_action,
@@ -109,7 +110,7 @@ def _factor_path(
     """
     if _takes_action(point, cols):
         a = _random_skew(point, beta, metric, rng)
-        return [p.matrix for p in _geodesic_columns(point, a, cols, steps)]
+        return _geodesic_columns(point, a, cols, steps)
     d = normalize_and_scale(point, random_tangent(point, rng), beta, metric)
     return [
         geodesic(point, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)
@@ -119,8 +120,9 @@ def _factor_path(
 class _Factorization:
     """SVD of one input matrix, computed once and shared by all of its draws.
 
-    u and v are the validated factor points that move: the full square
-    factors in full-rank mode, their leading `rank` columns otherwise.
+    u and v are the factor points that move: the full square factors in
+    full-rank mode, their leading `rank` columns otherwise. They are
+    orthonormal by construction, so only the input is checked.
     The leading `cols` columns of each moved factor enter the
     reconstruction (cols = min(m, n) in full-rank mode, rank otherwise);
     in rank mode the remaining dyads are added back untouched.
@@ -130,13 +132,17 @@ class _Factorization:
         mat = np.asarray(mat)
         if mat.ndim != 2 or min(mat.shape) < 2:
             raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
+        # the SVD may return non-finite factors, or not return, for an infinite entry
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("matrix has non-finite entries")
         if rank is not None and rank >= min(mat.shape):
             raise ValueError(f"rank must be < min(m, n) = {min(mat.shape)}, got {rank}")
         self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=True)
         self.v1 = self.v1h.conj().T
         self.cols = self.sigma.shape[0] if rank is None else rank
         # [:, :None] keeps every column
-        self.u, self.v = StiefelPoint(self.u1[:, :rank]), StiefelPoint(self.v1[:, :rank])
+        self.u = _built(StiefelPoint, self.u1[:, :rank])
+        self.v = _built(StiefelPoint, self.v1[:, :rank])
 
     def draw(self, cfg: AugmentConfig, rng: np.random.Generator) -> AugmentResult:
         """One perturbed reconstruction; tangents are sampled for U first, then V."""
@@ -168,7 +174,8 @@ def stiefelgen_matrix(
     min(m, n) columns of each retracted factor are formed.
 
     Raises:
-        ValueError: for inputs smaller than 2 x 2 or rank >= min(m, n).
+        ValueError: for inputs smaller than 2 x 2, non-finite entries or
+            rank >= min(m, n).
         numpy.linalg.LinAlgError: if the SVD fails to converge.
     """
     return _Factorization(mat, cfg.rank).draw(cfg, rng)

@@ -247,14 +247,6 @@ def _cmd_shm_demo(args) -> int:
     return 0
 
 
-def _add_perturbation_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--beta", type=float, default=0.0, help="perturbation scale for both factors")
-    p.add_argument("--beta-u", dest="beta_u", type=float, default=None, help="column-space scale")
-    p.add_argument("--beta-v", dest="beta_v", type=float, default=None, help="row-space scale")
-    p.add_argument("--alpha", type=float, default=0.0, help="metric parameter (0 = canonical)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stiefelgen",
@@ -262,73 +254,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("augment", help="generate one perturbed series from a CSV signal")
-    p.add_argument("--in", dest="inp", required=True, help="input CSV (one column)")
-    p.add_argument("--out", required=True, help="output CSV")
-    p.add_argument("--rows", type=int, required=True, help="page-matrix row count m")
+    def command(name, func, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=list(parents))
+        p.set_defaults(func=func)
+        return p
+
+    # flags of augment, geodesic and batch: the input page and its perturbation
+    page = argparse.ArgumentParser(add_help=False)
+    page.add_argument("--in", dest="inp", required=True, help="input CSV (one column)")
+    page.add_argument("--out", required=True, help="output CSV")
+    page.add_argument("--rows", type=int, required=True, help="page-matrix row count m")
+    page.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
+    page.add_argument("--beta", type=float, default=0.0, help="perturbation scale for both factors")
+    page.add_argument("--beta-u", dest="beta_u", type=float, default=None, help="column-space scale")
+    page.add_argument("--beta-v", dest="beta_v", type=float, default=None, help="row-space scale")
+    page.add_argument("--alpha", type=float, default=0.0, help="metric parameter (0 = canonical)")
+    page.add_argument("--seed", type=int, default=0, help="RNG seed")
+
+    p = command("augment", _cmd_augment, "generate one perturbed series from a CSV signal", page)
     p.add_argument("--rank", type=int, default=None, help="perturb only the leading d columns")
-    p.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
-    _add_perturbation_flags(p)
     p.add_argument("--smooth", type=int, default=1, help="moving-average window")
-    p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("geodesic", help="series along one geodesic, one column per step")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=int, required=True)
+    p = command("geodesic", _cmd_geodesic, "series along one geodesic, one column per step", page)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
-    _add_perturbation_flags(p)
-    p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("batch", help="ensemble of independent draws, one column per draw")
-    p.add_argument("--in", dest="inp", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--rows", type=int, required=True)
+    p = command("batch", _cmd_batch, "ensemble of independent draws, one column per draw", page)
     p.add_argument("--count", type=int, default=100)
-    p.add_argument("--strategy", choices=FIT_STRATEGIES, default="pad_edge")
-    _add_perturbation_flags(p)
     p.add_argument("--smooth", type=int, default=1, help="moving-average window")
-    p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser("sphere", help="great-circle generation without a page matrix")
+    p = command("sphere", _cmd_sphere, "great-circle generation without a page matrix")
     p.add_argument("--in", dest="inp", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--t", type=float, default=1.0, help="geodesic time")
     p.add_argument("--boundary", type=float, default=float(np.pi / 6))
     p.add_argument("--smooth", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_sphere)
 
-    p = sub.add_parser("dmd-fit", help="fit snapshot dynamics, write model JSON")
-    p.add_argument("--in", dest="inp", help="CSV, columns = snapshots (real data)")
-    p.add_argument("--dt", type=float, default=1.0, help="snapshot spacing (with --in)")
-    p.add_argument("--fixture", choices=["waves"], default=None, help="built-in benchmark data")
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--out", required=True, help="output JSON")
+    # flags of dmd-fit and dmd-ensemble: where the snapshots come from
+    snaps = argparse.ArgumentParser(add_help=False)
+    snaps.add_argument("--in", dest="inp", help="CSV, columns = snapshots (real data)")
+    snaps.add_argument("--dt", type=float, default=1.0, help="snapshot spacing (with --in)")
+    snaps.add_argument("--fixture", choices=["waves"], default=None, help="built-in benchmark data")
+    snaps.add_argument("--rank", type=int, required=True)
+    snaps.add_argument("--out", required=True, help="output JSON (dmd-fit) or CSV (dmd-ensemble)")
+
+    p = command("dmd-fit", _cmd_dmd_fit, "fit snapshot dynamics, write model JSON", snaps)
     p.add_argument("--forecast-out", dest="forecast_out", default=None, help="training-grid forecast CSV")
-    p.set_defaults(func=_cmd_dmd_fit)
 
-    p = sub.add_parser("dmd-ensemble", help="perturbed forecast ensemble at one spatial slice")
-    p.add_argument("--in", dest="inp")
-    p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--fixture", choices=["waves"], default=None)
-    p.add_argument("--rank", type=int, required=True)
+    p = command("dmd-ensemble", _cmd_dmd_ensemble, "perturbed forecast ensemble at one spatial slice", snaps)
     p.add_argument("--beta", type=float, default=0.2)
     p.add_argument("--count", type=int, default=30)
     p.add_argument("--spatial-index", dest="spatial_index", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_dmd_ensemble)
 
-    p = sub.add_parser("fboxplot", help="functional boxplot of an ensemble CSV")
+    p = command("fboxplot", _cmd_fboxplot, "functional boxplot of an ensemble CSV")
     p.add_argument("--in", dest="inp", required=True, help="CSV, columns = curves")
     p.add_argument("--out", required=True, help="output JSON")
     p.add_argument("--proportions", default="0.5", help="comma-separated central proportions")
     p.add_argument("--fence", type=float, default=1.5)
-    p.set_defaults(func=_cmd_fboxplot)
 
-    p = sub.add_parser("shm-demo", help="multi-sensor novelty robustness workflow")
+    p = command("shm-demo", _cmd_shm_demo, "multi-sensor novelty robustness workflow")
     p.add_argument("--out", required=True, help="output JSON summary")
     p.add_argument("--points-out", dest="points_out", default=None, help="projected points CSV")
     p.add_argument("--nu", type=float, default=0.1)
@@ -339,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--percentile", type=float, default=85.0)
     p.add_argument("--track-index", dest="track_index", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_shm_demo)
 
     return parser
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import _factor_path
 from .fda import FunctionalEnsemble
-from .stiefel import CANONICAL, MetricParams, StiefelPoint
+from .stiefel import CANONICAL, MetricParams, StiefelPoint, _built
 
 # bench/tracer.py wraps these names in this module; the perturbation itself
 # goes through augment._factor_path.
@@ -88,6 +88,8 @@ class DmdModel:
 def _truncate(snaps: SnapshotMatrix, rank: int) -> tuple:
     """Rank-r truncated SVD (U_r, Sigma_r, V_r) of the first snapshot block.
 
+    U_r and V_r are StiefelPoints, orthonormal by construction.
+
     Raises:
         ValueError: for an out-of-range rank or a condition above MAX_CONDITION.
     """
@@ -101,7 +103,7 @@ def _truncate(snaps: SnapshotMatrix, rank: int) -> tuple:
             f"truncated singular values are ill-conditioned (condition "
             f"{s_r[0] / max(s_r[-1], np.finfo(float).tiny):.2e})"
         )
-    return u[:, :rank], s_r, vh[:rank, :].conj().T
+    return _built(StiefelPoint, u[:, :rank]), s_r, _built(StiefelPoint, vh[:rank, :].conj().T)
 
 
 def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.ndarray) -> DmdModel:
@@ -148,7 +150,8 @@ def fit_dmd(snaps: SnapshotMatrix, rank: int) -> DmdModel:
         ValueError: for an out-of-range rank, an ill-conditioned
             truncation (condition above 1e12) or a zero eigenvalue.
     """
-    return _assemble(snaps, *_truncate(snaps, rank))
+    u_r, s_r, v_r = _truncate(snaps, rank)
+    return _assemble(snaps, u_r.matrix, s_r, v_r.matrix)
 
 
 def perturbed_fit(
@@ -168,8 +171,7 @@ def perturbed_fit(
     _check_beta(beta)
     if rng is None:
         rng = np.random.default_rng()
-    u_r, s_r, v_r = _truncate(snaps, rank)
-    return _perturbed_model(snaps, (StiefelPoint(u_r), s_r, StiefelPoint(v_r)), beta, metric, rng)
+    return _perturbed_model(snaps, _truncate(snaps, rank), beta, metric, rng)
 
 
 def forecast(model: DmdModel, times) -> np.ndarray:
@@ -198,8 +200,7 @@ def ensemble_forecast(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_beta(beta)
-    u_r, s_r, v_r = _truncate(snaps, rank)
-    factors = (StiefelPoint(u_r), s_r, StiefelPoint(v_r))
+    factors = _truncate(snaps, rank)
     times = np.asarray(times, dtype=np.float64)
     out = np.empty((count, snaps.n_space, times.shape[0]))
     for member, child in enumerate(rng.spawn(count)):

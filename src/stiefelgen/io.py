@@ -79,11 +79,9 @@ def read_series(path) -> TimeSeries:
     return TimeSeries(data[:, 0])
 
 
-def write_series(path, series: TimeSeries, header: str | None = None) -> None:
+def write_series(path, series: TimeSeries) -> None:
     """Write a univariate series, one sample per line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if header:
-            fh.write(header + "\n")
         for v in series.values.tolist():
             fh.write("%.17g\n" % v)
 

@@ -73,6 +73,17 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _built(cls, *fields):
+    """A cls value frozen as the public constructor freezes it, but not checked.
+
+    Only for values derived from checked data: SVD factors, retractions, rescaled tangents.
+    """
+    out = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, fields):
+        object.__setattr__(out, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+    return out
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Parameter of the alpha-metric family.
@@ -121,11 +132,10 @@ class StiefelPoint:
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite entries")
         mat = _freeze(mat)
-        gram_defect = _conj_t(mat) @ mat - np.eye(n)
-        if np.linalg.norm(gram_defect) >= ORTH_TOL:
+        defect = np.linalg.norm(_conj_t(mat) @ mat - np.eye(n))
+        if defect >= ORTH_TOL:
             raise ValueError(
-                "columns are not orthonormal: ||U*U - I||_F = "
-                f"{np.linalg.norm(gram_defect):.3e} >= {ORTH_TOL:g}"
+                f"columns are not orthonormal: ||U*U - I||_F = {defect:.3e} >= {ORTH_TOL:g}"
             )
         object.__setattr__(self, "matrix", mat)
 
@@ -147,7 +157,8 @@ class TangentVector:
     """A direction delta anchored at a Stiefel point.
 
     Validates the tangency condition delta*U + U*delta = 0 within
-    TANGENT_TOL, i.e. U*delta is skew-(Hermitian).
+    TANGENT_TOL, i.e. that X = U*delta is skew-(Hermitian); since
+    delta*U = X*, the defect is ||X + X*||_F from the one product X.
     """
 
     delta: np.ndarray
@@ -160,18 +171,18 @@ class TangentVector:
                 f"delta shape {delta.shape} != base shape {self.base.matrix.shape}"
             )
         delta = _freeze(delta)
-        u = self.base.matrix
-        defect = _conj_t(delta) @ u + _conj_t(u) @ delta
-        if np.linalg.norm(defect) >= TANGENT_TOL:
+        x = _conj_t(self.base.matrix) @ delta
+        defect = np.linalg.norm(x + _conj_t(x))
+        # `not <` also rejects a NaN defect
+        if not defect < TANGENT_TOL:
             raise ValueError(
-                "not a tangent vector: ||delta*U + U*delta||_F = "
-                f"{np.linalg.norm(defect):.3e} >= {TANGENT_TOL:g}"
+                f"not a tangent vector: ||delta*U + U*delta||_F = {defect:.3e} >= {TANGENT_TOL:g}"
             )
         object.__setattr__(self, "delta", delta)
 
     def scaled(self, t: float) -> "TangentVector":
         """The tangent t * delta at the same base."""
-        return TangentVector(t * self.delta, self.base)
+        return _built(TangentVector, t * self.delta, self.base)
 
 
 def project_to_tangent(base: StiefelPoint, ambient: np.ndarray) -> TangentVector:
@@ -265,11 +276,11 @@ def normalize_and_scale(
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     _check_anchor(base, d)
     if beta == 0.0:
-        return TangentVector(np.zeros_like(d.delta), base)
+        return _built(TangentVector, np.zeros_like(d.delta), base)
     norm = tangent_norm(base, d, metric)
     if norm == 0.0:
         raise ValueError("cannot scale a zero tangent vector to a positive radius")
-    return TangentVector(d.delta * (beta * INJECTIVITY_RADIUS / norm), base)
+    return _built(TangentVector, d.delta * (beta * INJECTIVITY_RADIUS / norm), base)
 
 
 def matrix_exp(s: np.ndarray) -> np.ndarray:
@@ -320,11 +331,10 @@ def _random_skew(
     U* delta = skew(U* G) and alpha-norm sqrt(1 - c) ||A||_F (Edelman,
     Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998), so neither the
     ambient projection nor a tangent check is formed. Equal to the
-    replay up to rounding; raises as normalize_and_scale does.
+    replay up to rounding. beta must already lie in [0, 1] (the callers'
+    configs check it); a zero draw raises as in normalize_and_scale.
     """
     g = _standard_normal(base, rng)
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if beta == 0.0:
         return np.zeros_like(g)
     x = _conj_t(base.matrix) @ g
@@ -338,7 +348,7 @@ def _random_skew(
 def _geodesic_columns(base: StiefelPoint, a: np.ndarray, cols: int, steps: int = 1) -> list:
     """Leading columns of U exp_m(t A) for a skew(-Hermitian) generator A on a square base.
 
-    Returns one StiefelPoint of shape m x cols per t = 1/steps, 2/steps,
+    Returns one m x cols array per t = 1/steps, 2/steps,
     ..., 1, from a single call to scipy's expm_multiply (the
     action-of-the-exponential algorithm of Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 2011) that evaluates exp_m(t A) I[:, :cols] on the whole
@@ -346,14 +356,14 @@ def _geodesic_columns(base: StiefelPoint, a: np.ndarray, cols: int, steps: int =
     """
     u = base.matrix
     if not np.any(a):
-        return [StiefelPoint(u[:, :cols])] * steps
+        return [u[:, :cols]] * steps
     # imported here, not at module load, where it added ~30 ms to every CLI start
     from scipy.sparse.linalg import expm_multiply
 
     grid = expm_multiply(
         a, np.eye(u.shape[0], cols), start=0.0, stop=1.0, num=steps + 1, endpoint=True
     )
-    return [StiefelPoint(u @ e) for e in grid[1:]]
+    return [u @ e for e in grid[1:]]
 
 
 def exp_map(
@@ -402,7 +412,7 @@ def exp_map(
     if m == n:
         # Orthogonal/unitary group: every alpha-geodesic is the
         # one-parameter subgroup U exp_m(A).
-        return StiefelPoint(u @ matrix_exp(a_skew))
+        return _built(StiefelPoint, u @ matrix_exp(a_skew))
 
     c = (2.0 * alpha + 1.0) / (alpha + 1.0)
     # Householder keeps q[:, n:] orthogonal to U even for a rank-deficient K,
@@ -418,7 +428,7 @@ def exp_map(
     out = u @ e[:n, :] + q @ e[n:, :]
     if mu != 0.0:
         out = out @ matrix_exp(mu * a_skew)
-    return StiefelPoint(out)
+    return _built(StiefelPoint, out)
 
 
 def geodesic(
@@ -429,14 +439,12 @@ def geodesic(
 ) -> StiefelPoint:
     """Point gamma(t) on the geodesic with gamma(0) = base, gamma(1) = exp_map(base, d).
 
-    Values of t outside [0, 1] are accepted with a warning.
+    Values of t outside [0, 1] are accepted with a warning. t = 0 returns
+    base itself; at t = 1 the scaled tangent is bitwise d, so the point
+    is bitwise exp_map(base, d).
     """
     if not 0.0 <= t <= 1.0:
         warnings.warn(
             f"geodesic parameter t={t} outside [0, 1]", RuntimeWarning, stacklevel=2
         )
-    if t == 0.0:
-        return base
-    if t == 1.0:
-        return exp_map(base, d, metric)
     return exp_map(base, d.scaled(t), metric)

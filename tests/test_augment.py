@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from stiefelgen import stiefel
+from stiefelgen import augment, stiefel
 from stiefelgen.augment import (
     AugmentConfig,
     ambient_perturb,
@@ -18,6 +18,7 @@ from stiefelgen.augment import (
 from stiefelgen.signal import TimeSeries, to_page_matrix
 from stiefelgen.stiefel import (
     StiefelPoint,
+    TangentVector,
     exp_map,
     geodesic,
     normalize_and_scale,
@@ -309,6 +310,35 @@ class TestWidePageSkewDraw:
         assert not np.any(dv.delta)
         u2 = exp_map(u_pt, du).matrix
         assert np.array_equal(out.generated, (u2 * out.factors[1]) @ v_pt.matrix[:, :5].conj().T)
+
+
+class TestTrustedFactors:
+    """The SVD factor points are built unchecked; they must pass the public checks."""
+
+    # wide, tall, square, and a 5 x 300 page whose 300 x 300 V moves 5 columns
+    @pytest.mark.parametrize("shape, rank", [((5, 9), 2), ((9, 5), 2), ((6, 6), 3), ((5, 300), 2)])
+    @pytest.mark.parametrize("full_rank", [True, False])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_factor_points_recheck(self, shape, rank, full_rank, complex_field):
+        r = np.random.default_rng(sum(shape))
+        mat = r.standard_normal(shape)
+        if complex_field:
+            mat = mat + 1j * r.standard_normal(shape)
+        fac = augment._Factorization(mat, None if full_rank else rank)
+        for point in (fac.u, fac.v):
+            StiefelPoint(point.matrix)
+            d = normalize_and_scale(point, random_tangent(point, r), 0.8)
+            TangentVector(d.delta, point)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_entries_rejected(self, value, rng):
+        # the SVD returns non-finite factors for an infinite entry instead of raising
+        mat = np.random.default_rng(12).standard_normal((6, 8))
+        mat[2, 3] = value
+        with pytest.raises(ValueError, match="non-finite"):
+            stiefelgen_matrix(mat, AugmentConfig(beta_u=0.5, beta_v=0.5), rng)
+        with pytest.raises(ValueError, match="non-finite"):
+            geodesic_path(mat, AugmentConfig(beta_u=0.5, beta_v=0.5), 4, rng)
 
 
 class TestBatchGenerate:

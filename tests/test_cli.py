@@ -1,5 +1,6 @@
 """Tests for the command-line interface and file interchange."""
 
+import argparse
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from stiefelgen import io
-from stiefelgen.cli import main
+from stiefelgen.cli import build_parser, main
 from stiefelgen.signal import TimeSeries
 
 
@@ -252,6 +253,62 @@ class TestOtherCommands:
                     "dmd-ensemble", "fboxplot", "shm-demo"]:
             assert main([cmd, "--help"]) == 0
             assert "usage" in capsys.readouterr().out
+
+
+PAGE_FLAGS = ["--alpha", "--beta", "--beta-u", "--beta-v", "--in", "--out", "--rows", "--seed", "--strategy"]
+SNAPSHOT_FLAGS = ["--dt", "--fixture", "--in", "--out", "--rank"]
+HELP_FLAGS = ["--help", "-h"]
+PAGE_DEFAULTS = {"strategy": "pad_edge", "beta": 0.0, "beta_u": None, "beta_v": None, "alpha": 0.0, "seed": 0}
+SNAPSHOT_DEFAULTS = {"inp": None, "dt": 1.0, "fixture": None}
+
+
+class TestParser:
+    def test_each_subcommand_keeps_its_options(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        got = {name: sorted(s for a in p._actions for s in a.option_strings) for name, p in sub.choices.items()}
+        assert got == {
+            "augment": sorted(PAGE_FLAGS + HELP_FLAGS + ["--rank", "--smooth"]),
+            "geodesic": sorted(PAGE_FLAGS + HELP_FLAGS + ["--steps"]),
+            "batch": sorted(PAGE_FLAGS + HELP_FLAGS + ["--count", "--smooth"]),
+            "sphere": sorted(HELP_FLAGS + ["--boundary", "--in", "--out", "--seed", "--smooth", "--t"]),
+            "dmd-fit": sorted(SNAPSHOT_FLAGS + HELP_FLAGS + ["--forecast-out"]),
+            "dmd-ensemble": sorted(SNAPSHOT_FLAGS + HELP_FLAGS + ["--beta", "--count", "--seed", "--spatial-index"]),
+            "fboxplot": sorted(HELP_FLAGS + ["--fence", "--in", "--out", "--proportions"]),
+            "shm-demo": sorted(HELP_FLAGS + ["--alpha", "--beta", "--gamma", "--nu", "--out", "--percentile",
+                                             "--points-out", "--seed", "--steps", "--track-index"]),
+        }
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["augment", "--rows", "4"], {**PAGE_DEFAULTS, "rows": 4, "rank": None, "smooth": 1}),
+            (["geodesic", "--rows", "4"], {**PAGE_DEFAULTS, "rows": 4, "steps": 10}),
+            (["batch", "--rows", "4"], {**PAGE_DEFAULTS, "rows": 4, "count": 100, "smooth": 1}),
+            (["dmd-fit", "--rank", "2"], {**SNAPSHOT_DEFAULTS, "rank": 2, "forecast_out": None}),
+            (["dmd-ensemble", "--rank", "2"],
+             {**SNAPSHOT_DEFAULTS, "rank": 2, "beta": 0.2, "count": 30, "spatial_index": None, "seed": 0}),
+        ],
+    )
+    def test_shared_flags_keep_their_defaults(self, argv, want):
+        args = vars(build_parser().parse_args(argv + ["--in", "x.csv", "--out", "y"]))
+        assert args.pop("func").__name__ == "_cmd_" + argv[0].replace("-", "_")
+        assert args == {**want, "command": argv[0], "inp": "x.csv", "out": "y"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["augment", "--out", "y", "--rows", "4"],
+            ["batch", "--in", "x", "--rows", "4"],
+            ["geodesic", "--in", "x", "--out", "y"],
+            ["geodesic", "--in", "x", "--out", "y", "--rows", "4", "--strategy", "wrap"],
+            ["dmd-fit", "--out", "y"],
+            ["dmd-ensemble", "--rank", "2"],
+            ["dmd-fit", "--rank", "2", "--out", "y", "--fixture", "lines"],
+        ],
+    )
+    def test_missing_or_bad_shared_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
 
 
 class TestShmDemo:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stiefelgen import dmd
 from stiefelgen.dmd import (
     SnapshotMatrix,
     ensemble_forecast,
@@ -12,6 +13,7 @@ from stiefelgen.dmd import (
     slice_ensemble,
     synth_spatiotemporal,
 )
+from stiefelgen.stiefel import StiefelPoint
 
 
 def waves_fixture(nx=400, nt=200):
@@ -207,6 +209,18 @@ class TestEnsembleForecast:
         members = ensemble_forecast(snaps, 2, 0.2, 4, t, np.random.default_rng(8))
         ens = slice_ensemble(members, 30)
         assert ens.curves.shape == (4, 50)
+
+
+class TestTruncate:
+    @pytest.mark.parametrize("rank", [1, 2, 5])
+    def test_truncated_factors_recheck(self, rank):
+        # the factor points are built unchecked; they must pass the public check
+        snaps, _, _ = waves_fixture(60, 50)
+        noisy = SnapshotMatrix(snaps.data + 1e-3 * np.random.default_rng(rank).standard_normal((60, 50)), 1.0)
+        u_r, s_r, v_r = dmd._truncate(noisy, rank)
+        assert u_r.matrix.shape == (60, rank) and v_r.matrix.shape == (49, rank)
+        StiefelPoint(u_r.matrix)
+        StiefelPoint(v_r.matrix)
 
 
 class TestSnapshotMatrix:

@@ -62,6 +62,15 @@ class TestTypes:
         pt = random_stiefel(5, 2, rng)
         with pytest.raises(ValueError, match="tangent"):
             TangentVector(np.ones((5, 2)), pt)
+        # U*delta = [[0, i], [-i, 0]] is Hermitian: X + X^T vanishes, X + X* does not
+        cpt = random_stiefel(5, 2, rng, True)
+        with pytest.raises(ValueError, match="tangent"):
+            TangentVector(cpt.matrix @ np.array([[0, 1j], [-1j, 0]]), cpt)
+
+    def test_tangent_rejects_non_finite(self, rng):
+        pt = random_stiefel(5, 2, rng)
+        with pytest.raises(ValueError, match="tangent"):
+            TangentVector(np.full((5, 2), np.nan), pt)
 
     def test_tangent_rejects_shape_mismatch(self, rng):
         pt = random_stiefel(5, 2, rng)
@@ -422,9 +431,9 @@ class TestGeodesicColumns:
         assert len(got) == steps
         for step, point in enumerate(got, start=1):
             want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :cols]
-            assert point.matrix.shape == (m, cols)
-            assert np.abs(point.matrix - want).max() < 1e-12
-            assert np.linalg.norm(point.matrix.conj().T @ point.matrix - np.eye(cols)) < 1e-8
+            assert point.shape == (m, cols)
+            assert np.abs(point - want).max() < 1e-12
+            assert np.linalg.norm(point.conj().T @ point - np.eye(cols)) < 1e-8
 
     @pytest.mark.parametrize(
         "m, n, cols, action",
@@ -438,7 +447,7 @@ class TestGeodesicColumns:
     def test_zero_tangent_returns_base_columns(self, rng):
         pt = random_stiefel(300, 300, rng)
         for point in stiefel._geodesic_columns(pt, np.zeros((300, 300)), 5, 4):
-            assert np.array_equal(point.matrix, pt.matrix[:, :5])
+            assert np.array_equal(point, pt.matrix[:, :5])
 
 
 class TestRandomSkew:
@@ -467,12 +476,10 @@ class TestRandomSkew:
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert not np.any(a)
         for point in stiefel._geodesic_columns(pt, a, 5, 3):
-            assert np.array_equal(point.matrix, pt.matrix[:, :5])
+            assert np.array_equal(point, pt.matrix[:, :5])
 
     def test_raises_as_normalize_and_scale(self, rng):
         pt = random_stiefel(6, 6, rng)
-        with pytest.raises(ValueError, match="beta"):
-            stiefel._random_skew(pt, 1.5, CANONICAL, rng)
         # alpha < -1 gives c > 1, where the metric norm of every U A tangent clips to zero
         with pytest.raises(ValueError, match="zero tangent"):
             normalize_and_scale(pt, random_tangent(pt, rng), 0.5, MetricParams(-2.0))
@@ -506,3 +513,22 @@ class TestGeodesic:
         d = normalize_and_scale(pt, random_tangent(pt, rng), 0.2)
         with pytest.warns(RuntimeWarning, match="outside"):
             geodesic(pt, d, 1.5)
+
+
+class TestTrustedValues:
+    """Values the package builds without a check pass the public checking constructors."""
+
+    # square, block with p = n, block with p = m - n < n
+    @pytest.mark.parametrize("m, n", [(6, 6), (9, 3), (7, 4)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_scaled_tangents_and_retractions_recheck(self, m, n, complex_field):
+        rng = np.random.default_rng(10 * m + n)
+        pt = random_stiefel(m, n, rng, complex_field)
+        for metric in (CANONICAL, EUCLIDEAN):
+            for beta in (0.0, 0.5, 1.0):
+                d = normalize_and_scale(pt, random_tangent(pt, rng), beta, metric)
+                TangentVector(d.delta, pt)
+                StiefelPoint(exp_map(pt, d, metric).matrix)
+                for t in (0.25, 0.5, 0.75):
+                    TangentVector(d.scaled(t).delta, pt)
+                    StiefelPoint(geodesic(pt, d, t, metric).matrix)
