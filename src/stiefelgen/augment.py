@@ -266,6 +266,9 @@ def ambient_perturb(
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     mat = np.asarray(mat)
+    # as in _Factorization: the SVD may not return for an infinite entry
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("matrix has non-finite entries")
     u1, s, v1h = np.linalg.svd(mat, full_matrices=True)
     v1 = v1h.conj().T
     u_noisy = u1 + sigma * rng.standard_normal(u1.shape)

@@ -37,22 +37,32 @@ class CsvParseError(ValueError):
 
 def _parse_rows(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()
+        lines = fh.read().replace("\r\n", "\n").split("\n")
+    try:
+        # header heuristic: skip the first row if any cell is non-numeric
+        [float(c.strip()) for c in lines[0].strip().split(",")]
+        first = 1
+    except ValueError:
+        first = 2
+    body = [line for line in lines[first - 1:] if line.strip()]
+    if body:
+        # loadtxt accepts a subset of what float() does and parses it to the same doubles
+        try:
+            return np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass  # the per-cell parse names the line and column at fault
+    return _parse_cells(path, lines, first)
+
+
+def _parse_cells(path, lines: list, first: int) -> np.ndarray:
+    """Rows from line `first` (1-based) on, one float() per cell; blank lines are skipped."""
     rows = []
     width = None
-    for line_no, raw in enumerate(text.replace("\r\n", "\n").split("\n"), start=1):
+    for line_no, raw in enumerate(lines[first - 1:], start=first):
         line = raw.strip()
         if not line:
             continue
         cells = [c.strip() for c in line.split(",")]
-        if line_no == 1:
-            # header heuristic: skip the first row if any cell is non-numeric
-            try:
-                rows.append([float(c) for c in cells])
-                width = len(cells)
-            except ValueError:
-                continue
-            continue
         if width is None:
             width = len(cells)
         if len(cells) != width:

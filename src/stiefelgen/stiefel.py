@@ -29,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "ORTH_TOL",
@@ -283,11 +282,36 @@ def normalize_and_scale(
     return _built(TangentVector, d.delta * (beta * INJECTIVITY_RADIUS / norm), base)
 
 
+#: theta_m, the largest norm at which the degree-m Pade approximant to exp has
+#: backward error below unit roundoff, and its numerator coefficients b_0, ..., b_m
+#: (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Tables 2.3 and 2.2).
+_PADE = {
+    3: (1.495585217958292e-2, np.array([120.0, 60.0, 12.0, 1.0])),
+    5: (2.539398330063230e-1, np.array([30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0])),
+    7: (9.504178996162932e-1,
+        np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0])),
+    9: (2.097847961257068, np.array([17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                                     30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0])),
+    13: (5.371920351148152, np.array([64764752532480000.0, 32382376266240000.0,
+                                      7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                                      10559470521600.0, 670442572800.0, 33522128640.0,
+                                      1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])),
+}
+
+
 def matrix_exp(s: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix.
 
-    Delegates to scipy's Pade scaling-and-squaring. For skew-(Hermitian)
-    input the result is orthogonal/unitary to well below 1e-10.
+    Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
+    2005): the lowest degree 3, 5, 7 or 9 whose theta_m covers A, else
+    degree 13 on A / 2^s followed by s squarings. The backward error
+    involves only even powers of A of order 2m and up, so A is measured
+    by max(||A^4||^(1/4), ||A^6||^(1/6)), from the Frobenius norms of
+    powers the approximant forms anyway (Al-Mohy & Higham, SIAM J. Matrix
+    Anal. Appl. 31, 2009, without their correction for strongly
+    non-normal input). For a skew A this sits near the spectral radius,
+    often far below ||A||. For skew-(Hermitian) input the result is
+    orthogonal/unitary to well below 1e-10.
 
     Raises:
         ValueError: for non-square or non-finite input.
@@ -295,11 +319,43 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {s.shape}")
-    if not np.all(np.isfinite(s)):
+    if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
-    if s.shape[0] == 0:
+    n = s.shape[0]
+    if n == 0:
         return np.zeros_like(s)
-    return expm(s)
+    # even powers I, A^2, A^4, A^6, and A^8 for degree 9
+    pw = np.empty((5, n, n), dtype=np.result_type(s, 1.0))
+    pw[0] = 0.0
+    pw[0].flat[:: n + 1] = 1.0
+    np.matmul(s, s, out=pw[1])
+    np.matmul(pw[1], pw[1], out=pw[2])
+    np.matmul(pw[2], pw[1], out=pw[3])
+    # every even k >= 4 is 4i + 6j, so max(d4, d6) bounds ||A^k||^(1/k) for all of them
+    eta = max(np.linalg.norm(pw[2]) ** (1 / 4), np.linalg.norm(pw[3]) ** (1 / 6))
+    m = next((m for m in (3, 5, 7, 9) if eta <= _PADE[m][0]), 13)
+    scale = 0
+    if m == 9:
+        np.matmul(pw[2], pw[2], out=pw[4])
+    elif m == 13:
+        scale = max(0, int(np.ceil(np.log2(eta / _PADE[13][0]))))
+        if scale:
+            s = s / 2.0**scale
+            pw[1:4] *= 0.25 ** (scale * np.arange(1.0, 4.0))[:, None, None]
+    b = _PADE[m][1]
+    k = 4 if m == 13 else m // 2 + 1
+    low = pw[:k].reshape(k, -1)
+    u = (b[1::2][:k] @ low).reshape(n, n)
+    v = (b[0::2][:k] @ low).reshape(n, n)
+    if m == 13:
+        high = pw[1:4].reshape(3, -1)
+        u += pw[3] @ (b[9::2] @ high).reshape(n, n)
+        v += pw[3] @ (b[8::2] @ high).reshape(n, n)
+    u = s @ u
+    e = np.linalg.solve(v - u, v + u)
+    for _ in range(scale):
+        e = e @ e
+    return e
 
 
 #: The exponential's action pays off only for few columns of a large
@@ -345,25 +401,50 @@ def _random_skew(
     return a * (beta * INJECTIVITY_RADIUS / norm)
 
 
+#: Float64 unit roundoff, where the Taylor action stops, and its cap on terms per
+#: substep: for a generator of 2-norm r the j-th term is at most r^j / j! of the
+#: block, below unit roundoff by j = 33 even at r = 3 sqrt(2).
+_UNIT_ROUNDOFF = 2.0**-53
+_TAYLOR_TERMS = 60
+#: Largest 2-norm bound of one substep's generator. A larger one means fewer substeps
+#: but more terms each; cancellation in a series on a generator of 2-norm r costs at
+#: most e^r unit roundoffs.
+_TAYLOR_RADIUS = 3.0
+
+
 def _geodesic_columns(base: StiefelPoint, a: np.ndarray, cols: int, steps: int = 1) -> list:
     """Leading columns of U exp_m(t A) for a skew(-Hermitian) generator A on a square base.
 
-    Returns one m x cols array per t = 1/steps, 2/steps,
-    ..., 1, from a single call to scipy's expm_multiply (the
-    action-of-the-exponential algorithm of Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 2011) that evaluates exp_m(t A) I[:, :cols] on the whole
-    grid. With A = U* delta, equal to exp_map's square route up to rounding.
+    Returns one m x cols array per t = 1/steps, 2/steps, ..., 1. Each
+    step applies exp_m(A/steps) to the m x cols block I[:, :cols] through
+    truncated Taylor series, so only m x m by m x cols products are
+    formed (the action of the exponential, Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 2011, with a norm bound in place of their estimator). A
+    step is split into substeps whose generator's 2-norm stays within
+    _TAYLOR_RADIUS, and each series stops once a term falls below unit
+    roundoff relative to the sum. With A = U* delta, equal to exp_map's
+    square route up to rounding.
     """
     u = base.matrix
     if not np.any(a):
         return [u[:, :cols]] * steps
-    # imported here, not at module load, where it added ~30 ms to every CLI start
-    from scipy.sparse.linalg import expm_multiply
-
-    grid = expm_multiply(
-        a, np.eye(u.shape[0], cols), start=0.0, stop=1.0, num=steps + 1, endpoint=True
-    )
-    return [u @ e for e in grid[1:]]
+    # ||A||_F / sqrt(2) bounds ||A||_2 of a real skew A, whose eigenvalues pair as +-i lambda;
+    # a complex one may reach sqrt(2) times that, which only costs a few more terms
+    sub = int(np.ceil(np.linalg.norm(a) / np.sqrt(2.0) / (steps * _TAYLOR_RADIUS)))
+    h = a / (steps * sub)
+    block = np.eye(u.shape[0], cols, dtype=a.dtype)
+    out = []
+    for _ in range(steps):
+        for _ in range(sub):
+            term = block
+            for j in range(1, _TAYLOR_TERMS + 1):
+                term = h @ term
+                term *= 1.0 / j
+                block += term
+                if np.linalg.norm(term) <= _UNIT_ROUNDOFF * np.linalg.norm(block):
+                    break
+        out.append(u @ block)
+    return out
 
 
 def exp_map(

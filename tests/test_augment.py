@@ -404,3 +404,15 @@ class TestAmbientPerturb:
     def test_rejects_negative_sigma(self, rng):
         with pytest.raises(ValueError, match="sigma"):
             ambient_perturb(sine_matrix(), -0.1, rng)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entries_rejected_before_the_svd(self, value, rng, monkeypatch):
+        # a 4 x 6 all-ones page with one inf entry made the SVD spin without returning
+        def no_svd(*args, **kwargs):
+            raise AssertionError("the SVD was reached")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        mat = np.ones((4, 6))
+        mat[1, 2] = value
+        with pytest.raises(ValueError, match="matrix has non-finite entries"):
+            ambient_perturb(mat, 0.1, rng)

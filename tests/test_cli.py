@@ -2,14 +2,54 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
+
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import stiefelgen
 from stiefelgen import io
 from stiefelgen.cli import build_parser, main
 from stiefelgen.signal import TimeSeries
+
+
+# cells float() and loadtxt may read differently, or only one of them at all
+ODD_CELLS = ["1_0", " 1e5 ", "nan", "-nan", "-inf", "Infinity", "1#2", "", "abc", "\xa01", "\u0661",
+             "0x10", "1 2", "+.5", "1e400", "-0", "\t2\t", "'1'", "1,"]
+CELLS = st.one_of(
+    st.floats().map(repr), st.floats(width=32).map(lambda v: format(v, ".17g")), st.sampled_from(ODD_CELLS)
+)
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_text(draw) -> str:
+    width = draw(st.integers(1, 4))
+    rows = [",".join(draw(st.lists(CELLS, min_size=width, max_size=width)))
+            for _ in range(draw(st.integers(0, 6)))]
+    if rows and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, len(rows) - 1))] = ",".join(draw(st.lists(CELLS, min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", "  ", "\x0c"])))
+    if draw(st.booleans()):
+        rows.insert(0, ",".join(["value"] * width))
+    return "".join(row + draw(LINE_ENDS) for row in rows)
+
+
+def _read(read, path):
+    try:
+        return read(path)
+    except io.CsvParseError as exc:
+        return str(exc)
 
 
 @pytest.fixture
@@ -67,6 +107,32 @@ class TestIo:
         path.write_text("1.0\n2.0\nnot-a-number\n")
         with pytest.raises(io.CsvParseError, match="line 3"):
             io.read_series(path)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(csv_text())
+    @example("a,b\n1_0, 1e5 \r\n\n-nan,-inf\n")
+    @example("1,2\r3,4\n")
+    def test_fast_read_equals_per_cell_read(self, text):
+        # loadtxt either returns bitwise the per-cell array or defers to it, message included
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "x.csv"
+            path.write_bytes(text.encode())
+            got = _read(io._parse_rows, path)
+            with mock.patch.object(np, "loadtxt", side_effect=ValueError("per-cell parse forced")):
+                want = _read(io._parse_rows, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_clean_file_skips_per_cell_read(self, tmp_path, monkeypatch):
+        data = np.random.default_rng(3).standard_normal((40, 6))
+        data[0, 0], data[1, 1], data[2, 2] = np.nan, -np.inf, -0.0
+        path = tmp_path / "m.csv"
+        io.write_columns(path, data, header="a,b,c,d,e,f")
+        monkeypatch.setattr(io, "_parse_cells", None)
+        assert io.read_columns(path).tobytes() == data.tobytes()
 
 
 class TestAugmentCommand:
@@ -358,6 +424,59 @@ class TestShmDemo:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--track-index must lie in [0, 50)" in err[0]
         assert not out.exists()
+
+
+# every subcommand once, with any import of scipy or a submodule raising ImportError
+SCIPY_BLOCKED_RUN = r'''
+import importlib.abc
+import sys
+
+
+class BlockScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+
+import numpy as np
+
+from stiefelgen import io
+from stiefelgen.cli import main
+from stiefelgen.signal import TimeSeries
+
+tmp = sys.argv[1]
+t = np.arange(400) * 0.05
+io.write_series(f"{tmp}/s.csv", TimeSeries(3.0 + np.sin(t) + 0.4 * np.sin(5.3 * t)))
+page = ["--in", f"{tmp}/s.csv", "--rows", "20", "--beta", "0.5"]
+calls = [
+    ["augment", *page, "--out", f"{tmp}/a.csv"],
+    ["geodesic", *page, "--steps", "3", "--out", f"{tmp}/g.csv"],
+    ["batch", *page, "--count", "5", "--out", f"{tmp}/b.csv"],
+    ["sphere", "--in", f"{tmp}/s.csv", "--out", f"{tmp}/sp.csv"],
+    ["dmd-fit", "--fixture", "waves", "--rank", "2", "--out", f"{tmp}/d.json"],
+    ["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--count", "3", "--out", f"{tmp}/e.csv"],
+    ["fboxplot", "--in", f"{tmp}/b.csv", "--out", f"{tmp}/f.json"],
+    ["shm-demo", "--steps", "2", "--out", f"{tmp}/shm.json"],
+]
+for argv in calls:
+    print(argv[0], main(argv))
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+'''
+
+
+class TestScipyFreeRuntime:
+    def test_every_subcommand_runs_with_scipy_blocked(self, tmp_path):
+        src = str(Path(stiefelgen.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        run = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, str(tmp_path)], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        commands = ["augment", "geodesic", "batch", "sphere", "dmd-fit", "dmd-ensemble", "fboxplot",
+                    "shm-demo"]
+        assert run.stdout.splitlines() == [f"{c} 0" for c in commands] + ["scipy modules: []"], run.stderr
 
 
 class TestDeterminism:

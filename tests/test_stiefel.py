@@ -294,6 +294,56 @@ class TestMatrixExp:
             matrix_exp(np.zeros((3, 4)))
 
 
+def _skew_with_one_norm(n: int, complex_field: bool, one_norm: float, rng) -> np.ndarray:
+    raw = rng.standard_normal((n, n))
+    if complex_field:
+        raw = raw + 1j * rng.standard_normal((n, n))
+    s = (raw - raw.conj().T) / 2.0
+    return s * (one_norm / np.abs(s).sum(axis=0).max())
+
+
+class TestMatrixExpOracle:
+    """The in-package Pade kernel against scipy.linalg.expm."""
+
+    THETAS = [theta for theta, _ in stiefel._PADE.values()]
+    # 1-norms just below and above each theta_m, then up to 50, where squaring runs
+    NORMS = [t * f for t in THETAS for f in (0.99, 1.01)] + [12.0, 50.0]
+
+    @pytest.mark.parametrize("theta", THETAS)
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_planar_rotation_at_each_degree_boundary(self, theta, side):
+        # for [[0, w], [-w, 0]], ||A^4||_F^(1/4) = 2^(1/8) w is the norm the degree is chosen by
+        w = side * theta / 2.0 ** (1 / 8)
+        want = np.array([[np.cos(w), np.sin(w)], [-np.sin(w), np.cos(w)]])
+        assert np.abs(matrix_exp(np.array([[0.0, w], [-w, 0.0]])) - want).max() < 1e-15
+
+    # a real 1 x 1 skew matrix is zero, which test_exp_of_zero_is_identity covers
+    @pytest.mark.parametrize("n, complex_field", [(1, True)] + [
+        (n, c) for n in (2, 4, 5, 40, 50, 128, 450) for c in (False, True)
+    ])
+    def test_skew_input(self, n, complex_field):
+        rng = np.random.default_rng(n)
+        for norm in self.NORMS:
+            s = _skew_with_one_norm(n, complex_field, norm, rng)
+            got, want = matrix_exp(s), scipy.linalg.expm(s)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), norm
+            assert np.linalg.norm(got.conj().T @ got - np.eye(n)) < 1e-10, norm
+
+    @pytest.mark.parametrize("scale", [0.01, 1.0, 5.0, 30.0])
+    def test_general_non_normal_input(self, scale):
+        rng = np.random.default_rng(30)
+        s = scale * (rng.standard_normal((30, 30)) / np.sqrt(30) + np.triu(rng.standard_normal((30, 30)), 1))
+        got, want = matrix_exp(s), scipy.linalg.expm(s)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_integer_input_gives_floats(self):
+        s = np.array([[0, 1], [-1, 0]])
+        assert np.abs(matrix_exp(s) - scipy.linalg.expm(s.astype(float))).max() < 1e-15
+
+    def test_empty_matrix(self):
+        assert matrix_exp(np.zeros((0, 0))).shape == (0, 0)
+
+
 class TestExpMap:
     def test_zero_tangent_returns_base(self, rng):
         pt = random_stiefel(6, 3, rng)
@@ -443,6 +493,41 @@ class TestGeodesicColumns:
     def test_switch_depends_only_on_shape(self, m, n, cols, action):
         pt = random_stiefel(m, n, np.random.default_rng(3))
         assert stiefel._takes_action(pt, cols) is action
+
+    # beta = 1 draws: ||A||_F is 2.8, 4.0 and 7.9 at alpha = -0.5, 0 and 3
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 3.0])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_taylor_action_at_drawn_norms(self, alpha, complex_field, steps):
+        rng = np.random.default_rng(450)
+        pt = random_stiefel(450, 450, rng, complex_field)
+        metric = MetricParams(alpha)
+        a = stiefel._random_skew(pt, 1.0, metric, rng)
+        want_fro = INJECTIVITY_RADIUS / np.sqrt(1.0 - metric.weight_coefficient)
+        assert abs(np.linalg.norm(a) - want_fro) < 1e-12
+        got = stiefel._geodesic_columns(pt, a, 5, steps)
+        assert len(got) == steps
+        for step in sorted({1, (steps + 1) // 2, steps}):
+            want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :5]
+            assert np.abs(got[step - 1] - want).max() < 1e-12
+            assert np.linalg.norm(got[step - 1].conj().T @ got[step - 1] - np.eye(5)) < 1e-10
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_taylor_action_at_largest_spectral_radius(self, complex_field, steps):
+        # drawn generators have ||A||_2 far below ||A||_F / sqrt(2); a plane rotation reaches it,
+        # and a complex rank-one generator reaches ||A||_F
+        rng = np.random.default_rng(451)
+        pt = random_stiefel(450, 450, rng, complex_field)
+        q = random_stiefel(450, 2, rng, complex_field).matrix
+        if complex_field:
+            a = 7.9j * np.outer(q[:, 0], q[:, 0].conj())
+        else:
+            a = 7.9 / np.sqrt(2.0) * (np.outer(q[:, 0], q[:, 1]) - np.outer(q[:, 1], q[:, 0]))
+        got = stiefel._geodesic_columns(pt, a, 5, steps)
+        for step in sorted({1, (steps + 1) // 2, steps}):
+            want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :5]
+            assert np.abs(got[step - 1] - want).max() < 1e-12
 
     def test_zero_tangent_returns_base_columns(self, rng):
         pt = random_stiefel(300, 300, rng)
