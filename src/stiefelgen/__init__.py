@@ -6,6 +6,9 @@ while the singular values stay fixed. On top of that core sit great-circle
 generation for raw 1-D signals, perturbed dynamic mode decomposition for
 forecast ensembles, functional boxplots for uncertainty quantification,
 and a one-class novelty robustness workflow.
+
+Every random entry point takes a required np.random.Generator; the
+ensemble builders spawn one child generator per member from it.
 """
 
 from .augment import (

@@ -12,6 +12,9 @@ rank-d mode retracts only the leading d columns and keeps the residual
 dyads untouched (in that mode the reconstruction's singular values are
 no longer exactly the stored ones, since the perturbed leading dyads
 lose orthogonality against the untouched tail).
+
+Every draw reads the Generator its caller passes; batch_generate spawns
+one child per row from it.
 """
 
 from __future__ import annotations
@@ -53,9 +56,11 @@ class AugmentConfig:
     """Knobs of one generation run.
 
     beta_u and beta_v scale the column-space and row-space perturbations
-    independently (a single beta is just beta_u == beta_v). rank, when
-    set, restricts the perturbation to the leading d columns of each
-    factor.
+    independently (a single beta is just beta_u == beta_v). alpha picks
+    the metric between Euclidean (-1/2) and canonical (0); above about
+    0.26 a beta = 1 draw on a small square factor can leave the
+    retraction's injective range, so it is rejected. rank, when set,
+    restricts the perturbation to the leading d columns of each factor.
     """
 
     beta_u: float = 0.0
@@ -63,7 +68,6 @@ class AugmentConfig:
     alpha: float = 0.0
     smooth_len: int = 1
     rank: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in ("beta_u", "beta_v"):
@@ -74,7 +78,9 @@ class AugmentConfig:
             raise ValueError("smooth_len must be >= 1")
         if self.rank is not None and self.rank < 1:
             raise ValueError("rank must be a positive integer")
-        MetricParams(self.alpha)  # reject alpha = -1 up front
+        # a NaN alpha fails this comparison too
+        if not -0.5 <= self.alpha <= 0.0:
+            raise ValueError(f"alpha must lie in [-0.5, 0], got {self.alpha}")
 
     @property
     def metric(self) -> MetricParams:
@@ -155,10 +161,9 @@ class _Factorization:
         return AugmentResult(generated, (self.u1, self.sigma, self.v1))
 
 
-def _unpage(generated: np.ndarray, pm: PageMatrix, series: TimeSeries, smooth_len: int) -> TimeSeries:
+def _unpage(generated: np.ndarray, pm: PageMatrix, smooth_len: int) -> TimeSeries:
     """Inverse page reshape of a generated matrix, then the moving average."""
-    out = from_page_matrix(PageMatrix(generated, pm.original_length, pm.fit_strategy))
-    return smooth(TimeSeries(out.values, series.sample_interval), smooth_len)
+    return smooth(from_page_matrix(PageMatrix(generated, pm.original_length, pm.fit_strategy)), smooth_len)
 
 
 def stiefelgen_matrix(
@@ -197,7 +202,7 @@ def stiefelgen_series(
     short tail.
     """
     pm = to_page_matrix(series, m, strategy)
-    return _unpage(stiefelgen_matrix(pm.data, cfg, rng).generated, pm, series, cfg.smooth_len)
+    return _unpage(stiefelgen_matrix(pm.data, cfg, rng).generated, pm, cfg.smooth_len)
 
 
 def geodesic_path(
@@ -231,23 +236,23 @@ def batch_generate(
     count: int,
     m: int,
     cfg: AugmentConfig,
+    rng: np.random.Generator,
     strategy: str = "pad_edge",
 ) -> FunctionalEnsemble:
     """Ensemble of independent draws, one row per generated signal.
 
     The series is paged and factored once; each draw then only perturbs,
-    reconstructs, reshapes and smooths. Draw k uses the k-th stream
-    spawned from cfg.seed, so row k equals stiefelgen_series on that
-    stream and the ensemble is reproducible.
+    reconstructs, reshapes and smooths. Row k equals stiefelgen_series
+    on the k-th of the `count` child generators spawned from rng, so a
+    fresh default_rng(seed) gives the same ensemble every time. The
+    same Generator passed a second time spawns new children, and so a
+    different ensemble.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     pm = to_page_matrix(series, m, strategy)
     fac = _Factorization(pm.data, cfg.rank)
-    rows = [
-        _unpage(fac.draw(cfg, np.random.default_rng(seq)).generated, pm, series, cfg.smooth_len).values
-        for seq in np.random.SeedSequence(cfg.seed).spawn(count)
-    ]
+    rows = [_unpage(fac.draw(cfg, child).generated, pm, cfg.smooth_len).values for child in rng.spawn(count)]
     return FunctionalEnsemble(np.vstack(rows))
 
 

@@ -44,7 +44,6 @@ def _config(args) -> AugmentConfig:
         alpha=args.alpha,
         smooth_len=getattr(args, "smooth", 1),
         rank=getattr(args, "rank", None),
-        seed=args.seed,
     )
 
 
@@ -82,18 +81,18 @@ def _cmd_geodesic(args) -> int:
 def _cmd_batch(args) -> int:
     series = io.read_series(args.inp)
     cfg = _config(args)
-    ens = batch_generate(series, args.count, args.rows, cfg, args.strategy)
+    ens = batch_generate(series, args.count, args.rows, cfg, np.random.default_rng(args.seed), args.strategy)
     io.write_columns(args.out, ens.curves.T)
     _summary(
         f"batch: {args.count} x {ens.n_points} ensemble, rows={args.rows}, "
-        f"beta_u={cfg.beta_u}, beta_v={cfg.beta_v}, seed={cfg.seed}"
+        f"beta_u={cfg.beta_u}, beta_v={cfg.beta_v}, seed={args.seed}"
     )
     return 0
 
 
 def _cmd_sphere(args) -> int:
     series = io.read_series(args.inp)
-    out = sphere_gen(series, args.t, args.boundary, args.smooth, np.random.default_rng(args.seed))
+    out = sphere_gen(series, args.t, args.boundary, args.smooth, rng=np.random.default_rng(args.seed))
     io.write_series(args.out, out)
     _summary(
         f"sphere: {len(series)} samples, t={args.t}, boundary={args.boundary:.6g}, "
@@ -183,9 +182,8 @@ def _cmd_fboxplot(args) -> int:
 
 
 def _cmd_shm_demo(args) -> int:
-    master = np.random.SeedSequence(args.seed)
-    data_seq, perturb_seq, track_seq = master.spawn(3)
-    dataset = generate_shm_dataset(rng=np.random.default_rng(data_seq))
+    data_rng, perturb_rng, track_rng = np.random.default_rng(args.seed).spawn(3)
+    dataset = generate_shm_dataset(rng=data_rng)
     if args.track_index is not None and not 0 <= args.track_index < dataset.count:
         raise UsageError(f"--track-index must lie in [0, {dataset.count}), got {args.track_index}")
     pca = fit_pca(dataset)
@@ -193,8 +191,8 @@ def _cmd_shm_demo(args) -> int:
 
     cfg = AugmentConfig(beta_u=args.beta, beta_v=args.beta, alpha=args.alpha)
     after = np.empty_like(pca.points)
-    for i, child in enumerate(perturb_seq.spawn(dataset.count)):
-        result = stiefelgen_matrix(dataset.observations[i], cfg, np.random.default_rng(child))
+    for i, child in enumerate(perturb_rng.spawn(dataset.count)):
+        result = stiefelgen_matrix(dataset.observations[i], cfg, child)
         after[i] = pca.project(result.generated)
 
     ranking = norm_change_ranking(pca.points, after)
@@ -209,7 +207,7 @@ def _cmd_shm_demo(args) -> int:
         args.beta,
         pca,
         model,
-        np.random.default_rng(track_seq),
+        track_rng,
         steps=args.steps,
         alpha=args.alpha,
     )

@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import _factor_path
 from .fda import FunctionalEnsemble
-from .stiefel import CANONICAL, MetricParams, StiefelPoint, _built
+from .stiefel import CANONICAL, StiefelPoint, _built
 
 # bench/tracer.py wraps these names in this module; the perturbation itself
 # goes through augment._factor_path.
@@ -127,11 +127,11 @@ def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.n
     )
 
 
-def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, metric, rng) -> DmdModel:
-    """Assemble from (U_r, Sigma_r, V_r) with U_r, then V_r, retracted along random geodesics."""
+def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, rng) -> DmdModel:
+    """Assemble from (U_r, Sigma_r, V_r) with U_r, then V_r, retracted along random canonical geodesics."""
     u_pt, s_r, v_pt = factors
-    u_r = _factor_path(u_pt, beta, metric, rng, u_pt.n)[0]
-    v_r = _factor_path(v_pt, beta, metric, rng, v_pt.n)[0]
+    u_r = _factor_path(u_pt, beta, CANONICAL, rng, u_pt.n)[0]
+    v_r = _factor_path(v_pt, beta, CANONICAL, rng, v_pt.n)[0]
     return _assemble(snaps, u_r, s_r, v_r)
 
 
@@ -158,20 +158,18 @@ def perturbed_fit(
     snaps: SnapshotMatrix,
     rank: int,
     beta: float,
-    metric: MetricParams = CANONICAL,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> DmdModel:
     """Fit with the truncated factors moved along random unitary geodesics.
 
-    U_r and V_r are replaced by exponential retractions at scale beta on
-    the complex Stiefel manifold before the similarity transform is
-    formed. beta = 0 reproduces fit_dmd bitwise (the pipeline is
-    shared), while the perturbed factors stay orthonormal for any beta.
+    U_r and V_r are replaced by exponential retractions at scale beta,
+    under the canonical metric, on the complex Stiefel manifold before
+    the similarity transform is formed. beta = 0 reproduces fit_dmd
+    bitwise (the pipeline is shared), while the perturbed factors stay
+    orthonormal for any beta.
     """
     _check_beta(beta)
-    if rng is None:
-        rng = np.random.default_rng()
-    return _perturbed_model(snaps, _truncate(snaps, rank), beta, metric, rng)
+    return _perturbed_model(snaps, _truncate(snaps, rank), beta, rng)
 
 
 def forecast(model: DmdModel, times) -> np.ndarray:
@@ -204,7 +202,7 @@ def ensemble_forecast(
     times = np.asarray(times, dtype=np.float64)
     out = np.empty((count, snaps.n_space, times.shape[0]))
     for member, child in enumerate(rng.spawn(count)):
-        model = _perturbed_model(snaps, factors, beta, CANONICAL, child)
+        model = _perturbed_model(snaps, factors, beta, child)
         out[member] = forecast(model, times).real
     return out
 

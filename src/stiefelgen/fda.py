@@ -26,7 +26,6 @@ class FunctionalEnsemble:
     """K curves sampled on a common grid of T domain points (rows = curves)."""
 
     curves: np.ndarray
-    domain: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         curves = np.asarray(self.curves, dtype=np.float64)
@@ -39,13 +38,6 @@ class FunctionalEnsemble:
         curves = np.array(curves)
         curves.setflags(write=False)
         object.__setattr__(self, "curves", curves)
-        if self.domain is not None:
-            domain = np.asarray(self.domain, dtype=np.float64)
-            if domain.shape != (curves.shape[1],):
-                raise ValueError("domain length does not match curves")
-            domain = np.array(domain)
-            domain.setflags(write=False)
-            object.__setattr__(self, "domain", domain)
 
     @property
     def n_curves(self) -> int:

@@ -28,6 +28,12 @@ __all__ = [
     "adversarial_candidate",
 ]
 
+#: KKT gap at which the one-class dual counts as solved.
+KKT_TOL = 1e-6
+
+#: Sweeps after which fit_one_class gives up on the dual.
+MAX_SWEEPS = 100_000
+
 
 @dataclass(frozen=True)
 class SensorDataset:
@@ -75,7 +81,8 @@ def generate_shm_dataset(
     obs_count: int = 50,
     rate_hz: float = 50.0,
     duration_s: float = 9.0,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
     noise_mean: float = 1.0,
     noise_std: float = 0.5,
 ) -> SensorDataset:
@@ -88,8 +95,6 @@ def generate_shm_dataset(
     """
     if sensors < 1 or obs_count < 1 or rate_hz <= 0 or duration_s <= 0:
         raise ValueError("sensors, obs_count, rate_hz and duration_s must be positive")
-    if rng is None:
-        rng = np.random.default_rng()
     samples = int(round(rate_hz * duration_s))
     t = np.arange(samples) / rate_hz
     noise = noise_mean + noise_std * rng.standard_normal((obs_count, sensors, samples))
@@ -115,23 +120,14 @@ class ProjectedSpace:
         return self.mean + self.basis @ np.asarray(point, dtype=np.float64)
 
 
-def fit_pca(dataset: SensorDataset, dims: int = 2, unit: str = "observation") -> ProjectedSpace:
-    """PCA projection of the dataset.
-
-    With unit="observation" (default) each stacked sensors x samples
-    observation is one flattened data point; unit="sensor" treats every
-    sensor trace separately.
+def fit_pca(dataset: SensorDataset, dims: int = 2) -> ProjectedSpace:
+    """PCA projection of the dataset, one flattened sensors x samples observation per data point.
 
     Raises:
         ValueError: if there are not enough points or the centered data
             has rank below dims.
     """
-    if unit == "observation":
-        rows = dataset.observations.reshape(dataset.count, -1)
-    elif unit == "sensor":
-        rows = dataset.observations.reshape(dataset.count * dataset.sensors, -1)
-    else:
-        raise ValueError(f"unknown unit {unit!r}")
+    rows = dataset.observations.reshape(dataset.count, -1)
     if rows.shape[0] <= dims:
         raise ValueError(f"need more than {dims} data points, got {rows.shape[0]}")
     mean = rows.mean(axis=0)
@@ -161,24 +157,18 @@ class OneClassModel:
         return k @ self.support_coefficients - self.offset
 
 
-def fit_one_class(
-    points: np.ndarray,
-    nu: float = 0.1,
-    gamma: float = 1e-3,
-    tol: float = 1e-6,
-    max_iter: int = 100_000,
-) -> OneClassModel:
+def fit_one_class(points: np.ndarray, nu: float = 0.1, gamma: float = 1e-3) -> OneClassModel:
     """Train the nu-one-class dual by pairwise coordinate ascent.
 
     Solves min 1/2 a^T K a subject to 0 <= a_i <= 1/(nu K), sum a = 1
     with the RBF kernel exp(-gamma ||x - y||^2), updating the maximal
-    violating pair per sweep until the KKT gap drops below tol. The
+    violating pair per sweep until the KKT gap drops below KKT_TOL. The
     offset is the averaged decision value over unbounded support
     vectors, so those sit on the boundary.
 
     Raises:
         ValueError: for invalid nu/gamma or fewer than 2 points.
-        RuntimeError: if the KKT gap has not closed after max_iter sweeps.
+        RuntimeError: if the KKT gap has not closed after MAX_SWEEPS sweeps.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
@@ -199,13 +189,13 @@ def fit_one_class(
     grad = kernel @ alpha
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         up_vals = np.where(alpha < cap - 1e-14, grad, np.inf)
         down_vals = np.where(alpha > 1e-14, grad, -np.inf)
         i = int(np.argmin(up_vals))
         j = int(np.argmax(down_vals))
         gap = down_vals[j] - up_vals[i]
-        if gap < tol:
+        if gap < KKT_TOL:
             converged = True
             break
         curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
@@ -215,7 +205,7 @@ def fit_one_class(
         alpha[j] -= step
         grad += step * (kernel[:, i] - kernel[:, j])
     if not converged:
-        raise RuntimeError(f"one-class dual did not converge within {max_iter} sweeps")
+        raise RuntimeError(f"one-class dual did not converge within {MAX_SWEEPS} sweeps")
 
     unbounded = (alpha > 1e-8) & (alpha < cap - 1e-8)
     if np.any(unbounded):

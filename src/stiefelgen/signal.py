@@ -24,7 +24,6 @@ class TimeSeries:
     """An ordered sequence of finite real samples."""
 
     values: np.ndarray
-    sample_interval: float | None = None
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -32,8 +31,6 @@ class TimeSeries:
             raise ValueError("a time series must be 1-d")
         if not np.all(np.isfinite(values)):
             raise ValueError("time series contains non-finite samples")
-        if self.sample_interval is not None and self.sample_interval <= 0:
-            raise ValueError("sample_interval must be positive")
         values = np.array(values)
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
@@ -170,4 +167,4 @@ def smooth(series: TimeSeries, window: int) -> TimeSeries:
     lo = np.maximum(idx - left, 0)
     hi = np.minimum(idx + right + 1, length)
     out = (csum[hi] - csum[lo]) / (hi - lo)
-    return TimeSeries(out, series.sample_interval)
+    return TimeSeries(out)

@@ -70,7 +70,8 @@ class SphereTangent:
 def sphere_random_tangent(
     base: SpherePoint,
     boundary: float = DEFAULT_BOUNDARY,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> SphereTangent:
     """Random tangent at base with norm capped at boundary.
 
@@ -79,8 +80,6 @@ def sphere_random_tangent(
     """
     if boundary <= 0:
         raise ValueError(f"boundary must be positive, got {boundary}")
-    if rng is None:
-        rng = np.random.default_rng()
     p = base.p
     v = rng.standard_normal(p.shape[0])
     v = v - np.dot(p, v) * p
@@ -110,7 +109,8 @@ def sphere_gen(
     t: float = 1.0,
     boundary: float = DEFAULT_BOUNDARY,
     smooth_len: int = DEFAULT_SMOOTH_LEN,
-    rng: np.random.Generator | None = None,
+    *,
+    rng: np.random.Generator,
 ) -> TimeSeries:
     """Generate a new signal by following a great circle from the input.
 
@@ -130,10 +130,7 @@ def sphere_gen(
     sigma = float(np.linalg.norm(values))
     if sigma == 0.0:
         raise ValueError("cannot perturb an identically zero signal")
-    if rng is None:
-        rng = np.random.default_rng()
     base = SpherePoint(values / sigma)
-    tangent = sphere_random_tangent(base, boundary, rng)
+    tangent = sphere_random_tangent(base, boundary, rng=rng)
     moved = sphere_geodesic(base, tangent, t)
-    out = TimeSeries(sigma * moved.p, series.sample_interval)
-    return smooth(out, smooth_len)
+    return smooth(TimeSeries(sigma * moved.p), smooth_len)

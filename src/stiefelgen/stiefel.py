@@ -359,10 +359,14 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
 
 
 #: The exponential's action pays off only for few columns of a large
-#: factor. With single-threaded OpenBLAS on a 2-vCPU x86-64 VM, the action
-#: on cols <= m/16 columns of an m >= 128 skew matrix took 0.1-0.8x the
-#: time of the dense m x m exponential (one time point; less along a
-#: path), while on small or wide slices it took up to 15x as long.
+#: factor. With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6,
+#: beta = 1 canonical draws), _geodesic_columns on up to m/8 columns took
+#: this share of the time of U @ matrix_exp(A) at one time point: 1.5-2x at
+#: m = 32, about 1x at m = 48, 0.6-0.7x at m = 64, 0.1-0.3x at m = 96 to 128
+#: and 0.02-0.24x at m = 450. Along a 20-step path it took 0.6-1.05x at
+#: m = 32 and 0.01-0.14x from m = 96 on. The crossover thus sits near
+#: m = 64, below the cut kept here; none of the bench workloads has a
+#: square factor between 50 and 128.
 _ACTION_MIN_DIM = 128
 _ACTION_COL_RATIO = 16
 

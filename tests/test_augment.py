@@ -104,7 +104,7 @@ class TestStiefelgenMatrix:
 
     def test_deterministic(self):
         mat = sine_matrix()
-        cfg = AugmentConfig(beta_u=0.6, beta_v=0.6, seed=5)
+        cfg = AugmentConfig(beta_u=0.6, beta_v=0.6)
         a = stiefelgen_matrix(mat, cfg, np.random.default_rng(5)).generated
         b = stiefelgen_matrix(mat, cfg, np.random.default_rng(5)).generated
         assert np.array_equal(a, b)
@@ -136,8 +136,9 @@ class TestStiefelgenMatrix:
             AugmentConfig(beta_u=1.2)
         with pytest.raises(ValueError, match="smooth"):
             AugmentConfig(smooth_len=0)
-        with pytest.raises(ValueError):
-            AugmentConfig(alpha=-1.0)
+        for alpha in (-1.0, -0.51, 0.5, np.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                AugmentConfig(alpha=alpha)
 
 
 class TestStiefelgenSeries:
@@ -272,7 +273,7 @@ class TestWidePageSkewDraw:
     """On a 5 x 300 page V is drawn as its skew generator; the public replay is the oracle."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, -0.25])
     def test_matrix_matches_public_replay(self, complex_field, alpha):
         mat = wide_page(complex_field)
         cfg = AugmentConfig(beta_u=0.7, beta_v=1.0, alpha=alpha)
@@ -285,7 +286,7 @@ class TestWidePageSkewDraw:
         assert np.abs(out.generated - (u2 * out.factors[1]) @ v2.conj().T).max() < 1e-12
 
     @pytest.mark.parametrize("complex_field", [False, True])
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, -0.25])
     @pytest.mark.parametrize("steps", [1, 20])
     def test_path_matches_public_replay(self, complex_field, alpha, steps):
         mat = wide_page(complex_field)
@@ -344,24 +345,34 @@ class TestTrustedFactors:
 class TestBatchGenerate:
     def test_single_draw_matches_derived_stream(self):
         series = steam_like(400)
-        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3, smooth_len=1, seed=11)
-        ens = batch_generate(series, 1, 20, cfg)
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3, smooth_len=1)
+        ens = batch_generate(series, 1, 20, cfg, np.random.default_rng(11))
         stream = np.random.default_rng(np.random.SeedSequence(11).spawn(1)[0])
         direct = stiefelgen_series(series, 20, cfg, stream)
         assert np.array_equal(ens.curves[0], direct.values)
 
     def test_deterministic_across_runs(self):
         series = steam_like(400)
-        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3, seed=12)
-        a = batch_generate(series, 5, 20, cfg)
-        b = batch_generate(series, 5, 20, cfg)
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
+        a = batch_generate(series, 5, 20, cfg, np.random.default_rng(12))
+        b = batch_generate(series, 5, 20, cfg, np.random.default_rng(12))
         assert np.array_equal(a.curves, b.curves)
+
+    def test_reused_generator_spawns_the_next_children(self):
+        series = steam_like(400)
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
+        rng = np.random.default_rng(12)
+        a = batch_generate(series, 2, 20, cfg, rng)
+        b = batch_generate(series, 2, 20, cfg, rng)
+        whole = batch_generate(series, 4, 20, cfg, np.random.default_rng(12))
+        assert not np.array_equal(a.curves, b.curves)
+        assert np.array_equal(np.vstack([a.curves, b.curves]), whole.curves)
 
     def test_large_ensemble_shape(self):
         # 500 draws over a 2000-sample series
         series = steam_like()
-        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3, smooth_len=1, seed=13)
-        ens = batch_generate(series, 500, 50, cfg)
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3, smooth_len=1)
+        ens = batch_generate(series, 500, 50, cfg, np.random.default_rng(13))
         assert ens.curves.shape == (500, 2000)
         assert np.all(np.isfinite(ens.curves))
 
@@ -370,8 +381,8 @@ class TestBatchGenerate:
         # the batch factors its page once; each row must still be the
         # one-shot pipeline on its own spawned stream, bit for bit
         series = steam_like(400)
-        cfg = AugmentConfig(beta_u=0.2, beta_v=0.5, smooth_len=3, rank=rank, seed=14)
-        ens = batch_generate(series, 6, 20, cfg)
+        cfg = AugmentConfig(beta_u=0.2, beta_v=0.5, smooth_len=3, rank=rank)
+        ens = batch_generate(series, 6, 20, cfg, np.random.default_rng(14))
         streams = np.random.SeedSequence(14).spawn(6)
         for k, seq in enumerate(streams):
             direct = stiefelgen_series(series, 20, cfg, np.random.default_rng(seq))

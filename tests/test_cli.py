@@ -158,6 +158,17 @@ class TestAugmentCommand:
         assert code == 0
         assert io.read_series(out).values.shape == values.shape
 
+    @pytest.mark.parametrize("alpha", ["0.5", "0.01", "-1", "-0.75", "nan"])
+    def test_alpha_outside_range_is_domain_error(self, tmp_path, signal_csv, alpha, capsys):
+        inp, _ = signal_csv
+        out = tmp_path / "o.csv"
+        code = main(["augment", "--in", str(inp), "--out", str(out), "--rows", "20",
+                     "--beta", "1", f"--alpha={alpha}"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "alpha must lie in [-0.5, 0]" in err[0]
+        assert not out.exists()
+
     def test_missing_input_is_usage_error(self, tmp_path):
         code = main(
             ["augment", "--in", str(tmp_path / "nope.csv"), "--out",
@@ -398,7 +409,7 @@ class TestShmDemo:
         from stiefelgen.novelty import fit_one_class, fit_pca, generate_shm_dataset, perturb_and_track
 
         out = tmp_path / "shm.json"
-        argv = ["shm-demo", "--out", str(out), "--alpha", "0.5", "--track-index", "3",
+        argv = ["shm-demo", "--out", str(out), "--alpha", "-0.25", "--track-index", "3",
                 "--steps", "2", "--seed", "7"]
         assert main(argv) == 0
         # the tracked path runs on the third stream spawned from the seed
@@ -407,9 +418,19 @@ class TestShmDemo:
         pca = fit_pca(dataset)
         model = fit_one_class(pca.points, nu=0.1, gamma=1e-3)
         path, _, _ = perturb_and_track(
-            dataset, 3, 1.0, pca, model, np.random.default_rng(track_seq), steps=2, alpha=0.5
+            dataset, 3, 1.0, pca, model, np.random.default_rng(track_seq), steps=2, alpha=-0.25
         )
         assert np.array_equal(json.loads(out.read_text())["track_path"], np.array(path))
+
+    def test_unconverged_one_class_is_domain_error(self, tmp_path, monkeypatch, capsys):
+        from stiefelgen import novelty
+
+        monkeypatch.setattr(novelty, "MAX_SWEEPS", 1)
+        out = tmp_path / "shm.json"
+        assert main(["shm-demo", "--out", str(out), "--steps", "1"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "did not converge within 1 sweeps" in err[0]
+        assert not out.exists()
 
     def test_track_index_out_of_range_is_usage_error(self, tmp_path, monkeypatch, capsys):
         from stiefelgen import cli

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from stiefelgen import novelty
 from stiefelgen.novelty import (
     adversarial_candidate,
     fit_one_class,
@@ -55,7 +56,7 @@ class TestDataset:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            generate_shm_dataset(sensors=0)
+            generate_shm_dataset(sensors=0, rng=np.random.default_rng(0))
 
 
 class TestPca:
@@ -73,10 +74,6 @@ class TestPca:
 
     def test_points_have_positive_variance(self, pca):
         assert np.var(pca.points, axis=0).min() > 0
-
-    def test_per_sensor_unit(self, dataset):
-        space = fit_pca(dataset, unit="sensor")
-        assert space.points.shape == (250, 2)
 
     def test_rank_error_on_degenerate_data(self):
         ds = generate_shm_dataset(obs_count=5, rng=np.random.default_rng(2), noise_std=0.0)
@@ -124,6 +121,11 @@ class TestOneClass:
     def test_rejects_bad_nu(self, pca):
         with pytest.raises(ValueError, match="nu"):
             fit_one_class(pca.points, nu=0.0)
+
+    def test_raises_when_the_sweeps_run_out(self, pca, monkeypatch):
+        monkeypatch.setattr(novelty, "MAX_SWEEPS", 1)
+        with pytest.raises(RuntimeError, match="within 1 sweeps"):
+            fit_one_class(pca.points, nu=0.1, gamma=1e-3)
 
     def test_nu_one_uniform_solution(self, rng):
         pts = rng.standard_normal((10, 2))

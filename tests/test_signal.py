@@ -139,7 +139,3 @@ class TestTimeSeries:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
             TimeSeries(np.array([1.0, np.nan]))
-
-    def test_rejects_bad_interval(self):
-        with pytest.raises(ValueError, match="sample_interval"):
-            TimeSeries(np.arange(3.0), sample_interval=0.0)
