@@ -91,7 +91,8 @@ class AugmentConfig:
 class AugmentResult:
     """A generated matrix plus the factorization it came from.
 
-    factors holds (U1, sigma, V1) of the input. In full-rank mode the
+    factors holds the thin (U1, sigma, V1) of the input: the k = min(m, n)
+    leading singular vectors on each side. In full-rank mode the
     singular values of `generated` equal sigma to within 1e-8.
     """
 
@@ -107,16 +108,10 @@ def _factor_path(
     cols: int,
     steps: int = 1,
 ) -> list:
-    """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1.
+    """Sample, scale and retract one factor point: its leading cols columns at t = 1/steps, ..., 1.
 
-    A large square factor of which few columns are used is drawn as its
-    skew generator and retracted through the exponential's action on
-    those columns; every other factor goes through geodesic, whose
-    t = 1 point is exp_map's.
+    The retraction goes through geodesic, whose t = 1 point is exp_map's.
     """
-    if _takes_action(point, cols):
-        a = _random_skew(point, beta, metric, rng)
-        return _geodesic_columns(point, a, cols, steps)
     d = normalize_and_scale(point, random_tangent(point, rng), beta, metric)
     return [
         geodesic(point, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)
@@ -126,12 +121,14 @@ def _factor_path(
 class _Factorization:
     """SVD of one input matrix, computed once and shared by all of its draws.
 
-    u and v are the factor points that move: the full square factors in
-    full-rank mode, their leading `rank` columns otherwise. They are
+    u and v are the factors that move; their leading `cols` columns enter
+    the reconstruction (cols = k = min(m, n) in full-rank mode, rank
+    otherwise, with the remaining dyads added back untouched). In
+    full-rank mode a long side L with _takes_action(L, k) is held as its
+    plain L x k block and moved in the ambient frame, so the thin SVD
+    suffices. Every other factor is a point: the full square factor in
+    full-rank mode, its leading `rank` columns otherwise. The factors are
     orthonormal by construction, so only the input is checked.
-    The leading `cols` columns of each moved factor enter the
-    reconstruction (cols = min(m, n) in full-rank mode, rank otherwise);
-    in rank mode the remaining dyads are added back untouched.
     """
 
     def __init__(self, mat: np.ndarray, rank: int | None) -> None:
@@ -141,24 +138,38 @@ class _Factorization:
         # the SVD may return non-finite factors, or not return, for an infinite entry
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite entries")
-        if rank is not None and rank >= min(mat.shape):
-            raise ValueError(f"rank must be < min(m, n) = {min(mat.shape)}, got {rank}")
-        self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=True)
-        self.v1 = self.v1h.conj().T
-        self.cols = self.sigma.shape[0] if rank is None else rank
+        k = min(mat.shape)
+        if rank is not None and rank >= k:
+            raise ValueError(f"rank must be < min(m, n) = {k}, got {rank}")
+        action = rank is None and _takes_action(max(mat.shape), k)
+        self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=not action)
+        v1 = self.v1h.conj().T
+        self.cols = k if rank is None else rank
+        self.factors = (self.u1[:, :k], self.sigma, v1[:, :k])
+        # only the thin SVD of an action page leaves a non-square factor, its long side;
         # [:, :None] keeps every column
-        self.u = _built(StiefelPoint, self.u1[:, :rank])
-        self.v = _built(StiefelPoint, self.v1[:, :rank])
+        self.u, self.v = (
+            f if f.shape[0] > f.shape[1] else _built(StiefelPoint, f[:, :rank]) for f in (self.u1, v1)
+        )
+
+    def path(
+        self, factor, beta: float, metric: MetricParams, rng: np.random.Generator, steps: int = 1
+    ) -> list:
+        """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1."""
+        if isinstance(factor, StiefelPoint):
+            return _factor_path(factor, beta, metric, rng, self.cols, steps)
+        a = _random_skew(factor.shape[0], np.iscomplexobj(factor), beta, metric, rng)
+        return _geodesic_columns(factor, a, steps)
 
     def draw(self, cfg: AugmentConfig, rng: np.random.Generator) -> AugmentResult:
         """One perturbed reconstruction; tangents are sampled for U first, then V."""
         d, k = self.cols, self.sigma.shape[0]
-        u2 = _factor_path(self.u, cfg.beta_u, cfg.metric, rng, d)[0]
-        v2 = _factor_path(self.v, cfg.beta_v, cfg.metric, rng, d)[0]
+        u2 = self.path(self.u, cfg.beta_u, cfg.metric, rng)[0]
+        v2 = self.path(self.v, cfg.beta_v, cfg.metric, rng)[0]
         generated = (u2 * self.sigma[:d]) @ v2.conj().T
         if d < k:
             generated = generated + (self.u1[:, d:k] * self.sigma[d:]) @ self.v1h[d:k, :]
-        return AugmentResult(generated, (self.u1, self.sigma, self.v1))
+        return AugmentResult(generated, self.factors)
 
 
 def _unpage(generated: np.ndarray, pm: PageMatrix, smooth_len: int) -> TimeSeries:
@@ -176,7 +187,12 @@ def stiefelgen_matrix(
     Tangents are always sampled for U first and V second, regardless of
     the beta values, so runs with the same seed share directions across
     different beta settings. In full-rank mode only the leading
-    min(m, n) columns of each retracted factor are formed.
+    k = min(m, n) columns of each retracted factor are formed. When the
+    long side L has L >= 128 and k <= L/16, its k singular vectors X
+    move as exp(A) X with A = skew(G) drawn and scaled in the ambient
+    frame; that has the law of V exp(skew(V* G)) E_k on the full factor
+    V, so only the thin SVD is taken and no L x L matrix but A is
+    formed. result.factors is the thin (U1, sigma, V1) in every case.
 
     Raises:
         ValueError: for inputs smaller than 2 x 2, non-finite entries or
@@ -224,8 +240,8 @@ def geodesic_path(
     if cfg.rank is not None:
         raise ValueError("geodesic paths support full-rank mode only")
     fac = _Factorization(mat, None)
-    u_path = _factor_path(fac.u, cfg.beta_u, cfg.metric, rng, fac.cols, steps)
-    v_path = _factor_path(fac.v, cfg.beta_v, cfg.metric, rng, fac.cols, steps)
+    u_path = fac.path(fac.u, cfg.beta_u, cfg.metric, rng, steps)
+    v_path = fac.path(fac.v, cfg.beta_v, cfg.metric, rng, steps)
     path = [np.array(mat)]
     path += [(u_t * fac.sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
     return path

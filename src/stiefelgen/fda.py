@@ -85,16 +85,15 @@ def mbd(ens: FunctionalEnsemble) -> np.ndarray:
     # Per column, count how many curves sit strictly below / above each
     # value; pairs that fail to contain the value are exactly those
     # drawn entirely from one side. Ties are inclusive by construction.
-    below = np.empty((k, t))
-    above = np.empty((k, t))
+    # The counts are integers, so their int64 total is exact in any order.
+    total = np.zeros(k, dtype=np.int64)
     for col in range(t):
         vals = curves[:, col]
         order = np.sort(vals)
-        below[:, col] = np.searchsorted(order, vals, side="left")
-        above[:, col] = k - np.searchsorted(order, vals, side="right")
-
-    contained = n_pairs - below * (below - 1) / 2.0 - above * (above - 1) / 2.0
-    return contained.sum(axis=1) / (t * n_pairs)
+        below = np.searchsorted(order, vals, side="left")
+        above = k - np.searchsorted(order, vals, side="right")
+        total += n_pairs - below * (below - 1) // 2 - above * (above - 1) // 2
+    return total / (t * n_pairs)
 
 
 def functional_boxplot(

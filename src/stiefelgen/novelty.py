@@ -175,8 +175,9 @@ def fit_one_class(points: np.ndarray, nu: float = 0.1, gamma: float = 1e-3) -> O
         raise ValueError("need at least 2 training points")
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    # a NaN gamma fails this comparison too
+    if not 0.0 < gamma < np.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     k = points.shape[0]
     cap = 1.0 / (nu * k)
 

@@ -78,7 +78,8 @@ def sphere_random_tangent(
     A standard-normal vector is projected via v - <p, v> p and rescaled
     onto the boundary only if its norm exceeds it.
     """
-    if boundary <= 0:
+    # a NaN boundary fails this comparison too
+    if not boundary > 0:
         raise ValueError(f"boundary must be positive, got {boundary}")
     p = base.p
     v = rng.standard_normal(p.shape[0])
@@ -121,8 +122,11 @@ def sphere_gen(
     t = 0 with smooth_len = 1 reproduces the input.
 
     Raises:
-        ValueError: for signals shorter than 2 samples or identically zero.
+        ValueError: for a non-finite t, or signals shorter than 2 samples
+            or identically zero.
     """
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     series = signal if isinstance(signal, TimeSeries) else TimeSeries(np.asarray(signal, dtype=np.float64))
     values = series.values
     if values.shape[0] < 2:

@@ -209,12 +209,11 @@ def random_tangent(base: StiefelPoint, rng: np.random.Generator) -> TangentVecto
     and imaginary parts for complex bases) and projects onto the tangent
     space. Deterministic given the generator state.
     """
-    return project_to_tangent(base, _standard_normal(base, rng))
+    return project_to_tangent(base, _standard_normal(base.matrix.shape, base.is_complex, rng))
 
 
-def _standard_normal(base: StiefelPoint, rng: np.random.Generator) -> np.ndarray:
-    shape = base.matrix.shape
-    if base.is_complex:
+def _standard_normal(shape: tuple, complex_field: bool, rng: np.random.Generator) -> np.ndarray:
+    if complex_field:
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     return rng.standard_normal(shape)
 
@@ -360,49 +359,54 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
 
 #: The exponential's action pays off only for few columns of a large
 #: factor. With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6,
-#: beta = 1 canonical draws), _geodesic_columns on up to m/8 columns took
-#: this share of the time of U @ matrix_exp(A) at one time point: 1.5-2x at
-#: m = 32, about 1x at m = 48, 0.6-0.7x at m = 64, 0.1-0.3x at m = 96 to 128
-#: and 0.02-0.24x at m = 450. Along a 20-step path it took 0.6-1.05x at
-#: m = 32 and 0.01-0.14x from m = 96 on. The crossover thus sits near
-#: m = 64, below the cut kept here; none of the bench workloads has a
-#: square factor between 50 and 128.
+#: beta = 1 canonical draws), one action draw (_random_skew, then
+#: _geodesic_columns on 1, m/16 or m/8 columns) took this share of the time
+#: of the dense draw (random_tangent, normalize_and_scale, geodesic) at one
+#: time point: 0.7-0.9x at m = 32, 0.5-0.7x at m = 48, 0.4-0.55x at m = 64,
+#: 0.2-0.3x at m = 96, 0.14-0.19x at m = 128 and 0.06-0.19x at m = 450.
+#: Along a 20-step path it took 0.5x at m = 32 and 0.01-0.15x from m = 96
+#: on. The crossover thus sits below m = 32, far below the cut kept here;
+#: none of the bench workloads has a square factor between 50 and 128.
 _ACTION_MIN_DIM = 128
 _ACTION_COL_RATIO = 16
 
 
-def _takes_action(base: StiefelPoint, cols: int) -> bool:
-    """Whether the leading cols columns of base's retraction come from _geodesic_columns.
+def _takes_action(dim: int, cols: int) -> bool:
+    """Whether a dim x dim factor of which the leading cols columns are used takes the action route.
 
-    True only for a square base with m >= 128 and cols <= m/16; every
-    other retraction is cheaper through the dense exponential of exp_map.
+    True only for dim >= 128 and cols <= dim/16. Such a factor is held as
+    those columns X, drawn as _random_skew and retracted by
+    _geodesic_columns; every other factor goes through exp_map's dense
+    exponential.
     """
-    m, n = base.matrix.shape
-    return m == n and m >= _ACTION_MIN_DIM and _ACTION_COL_RATIO * cols <= m
+    return dim >= _ACTION_MIN_DIM and _ACTION_COL_RATIO * cols <= dim
 
 
 def _random_skew(
-    base: StiefelPoint, beta: float, metric: MetricParams, rng: np.random.Generator
+    dim: int, complex_field: bool, beta: float, metric: MetricParams, rng: np.random.Generator
 ) -> np.ndarray:
-    """A = U* delta of normalize_and_scale(base, random_tangent(base, rng), beta, metric), square base.
+    """A skew(-Hermitian) dim x dim generator A = skew(G) of alpha-norm beta * INJECTIVITY_RADIUS.
 
-    Draws the same normals G as random_tangent, so the generator's stream
-    is unchanged. At a square base the projected tangent has
-    U* delta = skew(U* G) and alpha-norm sqrt(1 - c) ||A||_F (Edelman,
-    Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998), so neither the
-    ambient projection nor a tangent check is formed. Equal to the
-    replay up to rounding. beta must already lie in [0, 1] (the callers'
-    configs check it); a zero draw raises as in normalize_and_scale.
+    G holds the dim x dim normals that random_tangent draws at a square
+    base of that size, so the generator's stream advances as it would
+    there. At a square base V that tangent is V skew(V* G), and a
+    Gaussian G is orthogonally (unitarily) invariant, so V* G has the
+    law of G: V exp(skew(V* G)) has the law of V exp(V* A V) = exp(A) V.
+    The alpha-norm of V A' is sqrt(1 - c) ||A'||_F (Edelman, Arias &
+    Smith, SIAM J. Matrix Anal. Appl. 20, 1998), so the scale is closed
+    form. beta must already lie in [0, 1] (the callers' configs check
+    it); a zero draw raises as in normalize_and_scale.
     """
-    g = _standard_normal(base, rng)
+    g = _standard_normal((dim, dim), complex_field, rng)
     if beta == 0.0:
         return np.zeros_like(g)
-    x = _conj_t(base.matrix) @ g
-    a = (x - _conj_t(x)) / 2.0
+    # skew(G) = (G - G*)/2; the half cancels in the scaling
+    a = g - _conj_t(g)
     norm = np.sqrt(max(1.0 - metric.weight_coefficient, 0.0)) * np.linalg.norm(a)
     if norm == 0.0:
         raise ValueError("cannot scale a zero tangent vector to a positive radius")
-    return a * (beta * INJECTIVITY_RADIUS / norm)
+    a *= beta * INJECTIVITY_RADIUS / norm
+    return a
 
 
 #: Float64 unit roundoff, where the Taylor action stops, and its cap on terms per
@@ -416,27 +420,27 @@ _TAYLOR_TERMS = 60
 _TAYLOR_RADIUS = 3.0
 
 
-def _geodesic_columns(base: StiefelPoint, a: np.ndarray, cols: int, steps: int = 1) -> list:
-    """Leading columns of U exp_m(t A) for a skew(-Hermitian) generator A on a square base.
+def _geodesic_columns(x: np.ndarray, a: np.ndarray, steps: int = 1) -> list:
+    """exp(t A) X for a skew(-Hermitian) L x L generator A and an L x k block X.
 
-    Returns one m x cols array per t = 1/steps, 2/steps, ..., 1. Each
-    step applies exp_m(A/steps) to the m x cols block I[:, :cols] through
-    truncated Taylor series, so only m x m by m x cols products are
-    formed (the action of the exponential, Al-Mohy & Higham, SIAM J. Sci.
-    Comput. 33, 2011, with a norm bound in place of their estimator). A
-    step is split into substeps whose generator's 2-norm stays within
-    _TAYLOR_RADIUS, and each series stops once a term falls below unit
-    roundoff relative to the sum. With A = U* delta, equal to exp_map's
-    square route up to rounding.
+    Returns one L x k array per t = 1/steps, 2/steps, ..., 1. When X is
+    the leading columns of a square factor V, exp(t A) X is the leading
+    columns of V exp(t V* A V), exp_map's square route for the tangent
+    V (V* A V), without V or its trailing columns. Each step applies
+    exp(A/steps) to the block through truncated Taylor series, so only
+    L x L by L x k products are formed (the action of the exponential,
+    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, with a norm bound
+    in place of their estimator). A step is split into substeps whose
+    generator's 2-norm stays within _TAYLOR_RADIUS, and each series
+    stops once a term falls below unit roundoff relative to the sum.
     """
-    u = base.matrix
     if not np.any(a):
-        return [u[:, :cols]] * steps
+        return [x] * steps
     # ||A||_F / sqrt(2) bounds ||A||_2 of a real skew A, whose eigenvalues pair as +-i lambda;
     # a complex one may reach sqrt(2) times that, which only costs a few more terms
     sub = int(np.ceil(np.linalg.norm(a) / np.sqrt(2.0) / (steps * _TAYLOR_RADIUS)))
     h = a / (steps * sub)
-    block = np.eye(u.shape[0], cols, dtype=a.dtype)
+    block = x.astype(np.result_type(x, a))
     out = []
     for _ in range(steps):
         for _ in range(sub):
@@ -447,7 +451,7 @@ def _geodesic_columns(base: StiefelPoint, a: np.ndarray, cols: int, steps: int =
                 block += term
                 if np.linalg.norm(term) <= _UNIT_ROUNDOFF * np.linalg.norm(block):
                     break
-        out.append(u @ block)
+        out.append(block.copy())
     return out
 
 

@@ -5,6 +5,7 @@ import copy
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from stiefelgen import augment, stiefel
 from stiefelgen.augment import (
@@ -17,12 +18,14 @@ from stiefelgen.augment import (
 )
 from stiefelgen.signal import TimeSeries, to_page_matrix
 from stiefelgen.stiefel import (
+    INJECTIVITY_RADIUS,
     StiefelPoint,
     TangentVector,
     exp_map,
     geodesic,
     normalize_and_scale,
     random_tangent,
+    tangent_norm,
 )
 
 
@@ -269,8 +272,25 @@ def public_replay(mat, cfg, rng):
     return [(p, normalize_and_scale(p, random_tangent(p, rng), b, cfg.metric)) for p, b in zip(points, betas)]
 
 
+def ambient_replay(factors, cfg, rng):
+    """A wide action page's draw through the public steps, U then V, as factor points and scaled tangents.
+
+    U is square and goes through random_tangent -> normalize_and_scale. V's generator A is replayed
+    at the identity, where the scaled tangent is A itself, and carried to a square completion V of
+    the thin V1 as the tangent V (V* A V), whose exp_map is V exp(V* A V) = exp(A) V.
+    """
+    u1, _, v1 = factors
+    u_pt = StiefelPoint(u1)
+    du = normalize_and_scale(u_pt, random_tangent(u_pt, rng), cfg.beta_u, cfg.metric)
+    eye = StiefelPoint(np.eye(v1.shape[0], dtype=v1.dtype))
+    a = normalize_and_scale(eye, random_tangent(eye, rng), cfg.beta_v, cfg.metric).delta
+    v = np.hstack([v1, scipy.linalg.null_space(v1.conj().T)])
+    v_pt = StiefelPoint(v)
+    return (u_pt, du), (v_pt, TangentVector(v @ (v.conj().T @ a @ v), v_pt))
+
+
 class TestWidePageSkewDraw:
-    """On a 5 x 300 page V is drawn as its skew generator; the public replay is the oracle."""
+    """On a 5 x 300 page V's 5 columns move in the ambient frame; the public replay is the oracle."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, -0.5, -0.25])
@@ -279,11 +299,15 @@ class TestWidePageSkewDraw:
         cfg = AugmentConfig(beta_u=0.7, beta_v=1.0, alpha=alpha)
         rng, replay_rng = np.random.default_rng(41), np.random.default_rng(41)
         out = stiefelgen_matrix(mat, cfg, rng)
-        (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
+        assert [f.shape for f in (out.factors[0], out.factors[2])] == [(5, 5), (300, 5)]
+        (u_pt, du), (v_pt, dv) = ambient_replay(out.factors, cfg, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert abs(tangent_norm(v_pt, dv, cfg.metric) - INJECTIVITY_RADIUS) < 1e-12
         u2 = exp_map(u_pt, du, cfg.metric).matrix
         v2 = exp_map(v_pt, dv, cfg.metric).matrix[:, :5]
         assert np.abs(out.generated - (u2 * out.factors[1]) @ v2.conj().T).max() < 1e-12
+        want = np.linalg.svd(mat, compute_uv=False)
+        assert np.abs(np.linalg.svd(out.generated, compute_uv=False) - want).max() < 1e-8
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, -0.5, -0.25])
@@ -293,30 +317,53 @@ class TestWidePageSkewDraw:
         cfg = AugmentConfig(beta_u=0.9, beta_v=0.6, alpha=alpha)
         rng, replay_rng = np.random.default_rng(43), np.random.default_rng(43)
         path = geodesic_path(mat, cfg, steps, rng)
-        (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
+        factors = augment._Factorization(mat, None).factors
+        (u_pt, du), (v_pt, dv) = ambient_replay(factors, cfg, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
-        s = np.linalg.svd(mat, compute_uv=False)
         for step in sorted({steps // 2, steps} - {0}):
             u_t = geodesic(u_pt, du, step / steps, cfg.metric).matrix
             v_t = geodesic(v_pt, dv, step / steps, cfg.metric).matrix[:, :5]
-            assert np.abs(path[step] - (u_t * s) @ v_t.conj().T).max() < 1e-12
+            assert np.abs(path[step] - (u_t * factors[1]) @ v_t.conj().T).max() < 1e-12
 
     def test_zero_beta_gives_base_columns_bitwise(self):
         mat = wide_page(False)
         cfg = AugmentConfig(beta_u=0.5, beta_v=0.0)
         rng, replay_rng = np.random.default_rng(47), np.random.default_rng(47)
         out = stiefelgen_matrix(mat, cfg, rng)
-        (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
+        (u_pt, du), (_, dv) = ambient_replay(out.factors, cfg, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert not np.any(dv.delta)
         u2 = exp_map(u_pt, du).matrix
-        assert np.array_equal(out.generated, (u2 * out.factors[1]) @ v_pt.matrix[:, :5].conj().T)
+        assert np.array_equal(out.generated, (u2 * out.factors[1]) @ out.factors[2].conj().T)
+
+
+class TestAmbientDrawLaw:
+    """The ambient-frame draw has the law of the public route it replaced, on a 4 x 160 action page."""
+
+    DRAWS = 1000
+
+    def test_two_sample_ks_against_public_route(self):
+        mat = np.random.default_rng(61).standard_normal((4, 160))
+        cfg = AugmentConfig(beta_u=0.0, beta_v=1.0, alpha=-0.25)
+        u1, s, v1h = np.linalg.svd(mat, full_matrices=True)
+        v_pt = StiefelPoint(v1h.T)
+        old_rng, new_rng = np.random.default_rng(62), np.random.default_rng(63)
+        old, new = np.empty((2, self.DRAWS)), np.empty((2, self.DRAWS))
+        for i in range(self.DRAWS):
+            d = normalize_and_scale(v_pt, random_tangent(v_pt, old_rng), cfg.beta_v, cfg.metric)
+            v2 = exp_map(v_pt, d, cfg.metric).matrix[:, :4]
+            old[:, i] = v1h[0] @ v2[:, 0], np.linalg.norm((u1 * s) @ v2.T - mat)
+            generated = stiefelgen_matrix(mat, cfg, new_rng).generated
+            v2 = np.linalg.solve(u1 * s, generated).T
+            new[:, i] = v1h[0] @ v2[:, 0], np.linalg.norm(generated - mat)
+        for old_stat, new_stat in zip(old, new):
+            assert scipy.stats.ks_2samp(old_stat, new_stat).pvalue > 1e-3
 
 
 class TestTrustedFactors:
     """The SVD factor points are built unchecked; they must pass the public checks."""
 
-    # wide, tall, square, and a 5 x 300 page whose 300 x 300 V moves 5 columns
+    # wide, tall, square, and a 5 x 300 page whose V moves as its 300 x 5 block in full-rank mode
     @pytest.mark.parametrize("shape, rank", [((5, 9), 2), ((9, 5), 2), ((6, 6), 3), ((5, 300), 2)])
     @pytest.mark.parametrize("full_rank", [True, False])
     @pytest.mark.parametrize("complex_field", [False, True])
@@ -326,8 +373,9 @@ class TestTrustedFactors:
         if complex_field:
             mat = mat + 1j * r.standard_normal(shape)
         fac = augment._Factorization(mat, None if full_rank else rank)
-        for point in (fac.u, fac.v):
-            StiefelPoint(point.matrix)
+        for factor in (fac.u, fac.v):
+            # the long factor of a full-rank 5 x 300 page is held as its plain 300 x 5 block
+            point = StiefelPoint(factor if isinstance(factor, np.ndarray) else factor.matrix)
             d = normalize_and_scale(point, random_tangent(point, r), 0.8)
             TangentVector(d.delta, point)
 

@@ -241,6 +241,19 @@ class TestOtherCommands:
         assert code == 0
         assert io.read_series(out).values.shape == values.shape
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--boundary", "nan", "boundary must be positive"), ("--t", "nan", "t must be finite"),
+         ("--t", "inf", "t must be finite"), ("--t", "-inf", "t must be finite")],
+    )
+    def test_sphere_non_finite_flag_is_domain_error(self, tmp_path, signal_csv, flag, value, message, capsys):
+        inp, _ = signal_csv
+        out = tmp_path / "sph.csv"
+        assert main(["sphere", "--in", str(inp), "--out", str(out), f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
     def test_overflow_is_one_line_domain_error(self, tmp_path, capsys):
         inp = tmp_path / "huge.csv"
         inp.write_text("1e300\n0.0\n2.0\n3.0\n")
@@ -421,6 +434,15 @@ class TestShmDemo:
             dataset, 3, 1.0, pca, model, np.random.default_rng(track_seq), steps=2, alpha=-0.25
         )
         assert np.array_equal(json.loads(out.read_text())["track_path"], np.array(path))
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_is_domain_error(self, tmp_path, gamma, capsys):
+        out, pts = tmp_path / "shm.json", tmp_path / "pts.csv"
+        argv = ["shm-demo", "--out", str(out), "--points-out", str(pts), "--steps", "1", f"--gamma={gamma}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "gamma must be positive and finite" in err[0]
+        assert not out.exists() and not pts.exists()
 
     def test_unconverged_one_class_is_domain_error(self, tmp_path, monkeypatch, capsys):
         from stiefelgen import novelty

@@ -25,7 +25,24 @@ def brute_force_mbd(curves: np.ndarray) -> np.ndarray:
     return depths
 
 
+def float_count_mbd(curves: np.ndarray) -> np.ndarray:
+    """The per-column counts held in k x t float arrays and summed along each row."""
+    k, t = curves.shape
+    n_pairs = k * (k - 1) // 2
+    order = np.sort(curves, axis=0)
+    below = np.column_stack([np.searchsorted(order[:, c], curves[:, c], side="left") for c in range(t)])
+    above = k - np.column_stack([np.searchsorted(order[:, c], curves[:, c], side="right") for c in range(t)])
+    contained = n_pairs - below * (below - 1) / 2.0 - above * (above - 1) / 2.0
+    return contained.sum(axis=1) / (t * n_pairs)
+
+
 class TestMbd:
+    def test_integer_total_equals_float_sum_bitwise(self):
+        # every partial sum is an integer below 2^53, so both orders are exact
+        rng = np.random.default_rng(4)
+        curves = np.vstack([rng.standard_normal((300, 200)), rng.integers(0, 4, size=(200, 200))])
+        assert np.array_equal(mbd(FunctionalEnsemble(curves)), float_count_mbd(curves))
+
     def test_constant_curves_fixture(self):
         ens = FunctionalEnsemble(np.array([[0.0] * 4, [1.0] * 4, [2.0] * 4]))
         depths = mbd(ens)

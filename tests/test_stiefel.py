@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import random_stiefel
-from stiefelgen import stiefel
+from stiefelgen import augment, stiefel
 from stiefelgen.stiefel import (
     CANONICAL,
     EUCLIDEAN,
@@ -464,8 +464,17 @@ class TestExpMap:
                 assert np.abs(out - want).max() < 1e-11
 
 
+def identity_replay(dim, complex_field, beta, metric, rng):
+    """The scaled tangent of the public sample -> project -> scale steps at the dim x dim identity.
+
+    At U = I the tangent is its own generator U* delta = skew(G), so this replays _random_skew.
+    """
+    eye = StiefelPoint(np.eye(dim, dtype=complex if complex_field else float))
+    return eye, normalize_and_scale(eye, random_tangent(eye, rng), beta, metric)
+
+
 class TestGeodesicColumns:
-    """The square-factor column retraction against the dense scipy.linalg.expm route."""
+    """The ambient-frame column retraction exp(tA) X against the dense scipy.linalg.expm route."""
 
     # 24 x 24 with 16 columns lies on the dense side of the switch, 300 x 300 with 5 on the action side
     @pytest.mark.parametrize("m, cols", [(24, 16), (300, 5)])
@@ -475,24 +484,34 @@ class TestGeodesicColumns:
         # steps=20 is the 21-point grid t = 0, 1/20, ..., 1 (t = 0 is not returned)
         rng = np.random.default_rng(m + cols)
         pt = random_stiefel(m, m, rng, complex_field)
-        d = normalize_and_scale(pt, random_tangent(pt, rng), 1.0)
-        a = pt.matrix.conj().T @ d.delta
-        got = stiefel._geodesic_columns(pt, a, cols, steps)
+        x = pt.matrix[:, :cols]
+        a = stiefel._random_skew(m, complex_field, 1.0, CANONICAL, rng)
+        got = stiefel._geodesic_columns(x, a, steps)
         assert len(got) == steps
         for step, point in enumerate(got, start=1):
-            want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :cols]
+            want = scipy.linalg.expm(step / steps * a) @ x
             assert point.shape == (m, cols)
             assert np.abs(point - want).max() < 1e-12
             assert np.linalg.norm(point.conj().T @ point - np.eye(cols)) < 1e-8
+        # the same columns as exp_map's square route for the tangent V (V* A V)
+        d = TangentVector(pt.matrix @ (pt.matrix.conj().T @ a @ pt.matrix), pt)
+        assert np.abs(got[-1] - exp_map(pt, d).matrix[:, :cols]).max() < 1e-12
 
+    # a cols x m page's V is m x m with cols used columns; a thin m x n factor with n < m
+    # is the leading n columns of a rank-n run on an m x 2n page
     @pytest.mark.parametrize(
         "m, n, cols, action",
         [(24, 24, 16, False), (300, 300, 5, True), (100, 100, 5, False), (300, 300, 40, False),
          (128, 128, 8, True), (128, 128, 9, False), (300, 5, 5, False)],
     )
     def test_switch_depends_only_on_shape(self, m, n, cols, action):
-        pt = random_stiefel(m, n, np.random.default_rng(3))
-        assert stiefel._takes_action(pt, cols) is action
+        page = np.random.default_rng(3).standard_normal((cols, m) if m == n else (m, 2 * n))
+        fac = augment._Factorization(page, None if m == n else n)
+        factor = fac.v if m == n else fac.u
+        assert isinstance(factor, np.ndarray) is action
+        assert np.shape(getattr(factor, "matrix", factor)) == (m, cols if action else n)
+        if m == n:
+            assert stiefel._takes_action(m, cols) is action
 
     # beta = 1 draws: ||A||_F is 2.8, 4.0 and 7.9 at alpha = -0.5, 0 and 3
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 3.0])
@@ -500,15 +519,15 @@ class TestGeodesicColumns:
     @pytest.mark.parametrize("steps", [1, 20])
     def test_taylor_action_at_drawn_norms(self, alpha, complex_field, steps):
         rng = np.random.default_rng(450)
-        pt = random_stiefel(450, 450, rng, complex_field)
+        x = random_stiefel(450, 5, rng, complex_field).matrix
         metric = MetricParams(alpha)
-        a = stiefel._random_skew(pt, 1.0, metric, rng)
+        a = stiefel._random_skew(450, complex_field, 1.0, metric, rng)
         want_fro = INJECTIVITY_RADIUS / np.sqrt(1.0 - metric.weight_coefficient)
         assert abs(np.linalg.norm(a) - want_fro) < 1e-12
-        got = stiefel._geodesic_columns(pt, a, 5, steps)
+        got = stiefel._geodesic_columns(x, a, steps)
         assert len(got) == steps
         for step in sorted({1, (steps + 1) // 2, steps}):
-            want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :5]
+            want = scipy.linalg.expm(step / steps * a) @ x
             assert np.abs(got[step - 1] - want).max() < 1e-12
             assert np.linalg.norm(got[step - 1].conj().T @ got[step - 1] - np.eye(5)) < 1e-10
 
@@ -518,50 +537,52 @@ class TestGeodesicColumns:
         # drawn generators have ||A||_2 far below ||A||_F / sqrt(2); a plane rotation reaches it,
         # and a complex rank-one generator reaches ||A||_F
         rng = np.random.default_rng(451)
-        pt = random_stiefel(450, 450, rng, complex_field)
+        x = random_stiefel(450, 5, rng, complex_field).matrix
         q = random_stiefel(450, 2, rng, complex_field).matrix
         if complex_field:
             a = 7.9j * np.outer(q[:, 0], q[:, 0].conj())
         else:
             a = 7.9 / np.sqrt(2.0) * (np.outer(q[:, 0], q[:, 1]) - np.outer(q[:, 1], q[:, 0]))
-        got = stiefel._geodesic_columns(pt, a, 5, steps)
+        got = stiefel._geodesic_columns(x, a, steps)
         for step in sorted({1, (steps + 1) // 2, steps}):
-            want = pt.matrix @ scipy.linalg.expm(step / steps * a)[:, :5]
+            want = scipy.linalg.expm(step / steps * a) @ x
             assert np.abs(got[step - 1] - want).max() < 1e-12
 
     def test_zero_tangent_returns_base_columns(self, rng):
-        pt = random_stiefel(300, 300, rng)
-        for point in stiefel._geodesic_columns(pt, np.zeros((300, 300)), 5, 4):
-            assert np.array_equal(point, pt.matrix[:, :5])
+        x = random_stiefel(300, 5, rng).matrix
+        for point in stiefel._geodesic_columns(x, np.zeros((300, 300)), 4):
+            assert np.array_equal(point, x)
 
 
 class TestRandomSkew:
-    """The square-base skew draw against the public sample -> project -> scale replay."""
+    """The ambient skew draw against the public sample -> project -> scale replay at the identity."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
     @pytest.mark.parametrize("beta", [0.3, 1.0])
     def test_matches_public_replay(self, complex_field, alpha, beta):
-        pt = random_stiefel(40, 40, np.random.default_rng(5), complex_field)
         metric = MetricParams(alpha)
         rng, replay_rng = np.random.default_rng(17), np.random.default_rng(17)
-        a = stiefel._random_skew(pt, beta, metric, rng)
-        d = normalize_and_scale(pt, random_tangent(pt, replay_rng), beta, metric)
+        a = stiefel._random_skew(40, complex_field, beta, metric, rng)
+        eye, d = identity_replay(40, complex_field, beta, metric, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert np.array_equal(a, -a.conj().T)
-        assert np.abs(a - pt.matrix.conj().T @ d.delta).max() < 1e-12
-        got = TangentVector(pt.matrix @ a, pt)
-        assert abs(tangent_norm(pt, got, metric) - beta * INJECTIVITY_RADIUS) < 1e-12
+        assert np.abs(a - d.delta).max() < 1e-12
+        assert abs(tangent_norm(eye, TangentVector(a, eye), metric) - beta * INJECTIVITY_RADIUS) < 1e-12
+        # carried to any square base V as V (V* A V), the norm is the same
+        pt = random_stiefel(40, 40, np.random.default_rng(5), complex_field)
+        moved = TangentVector(pt.matrix @ (pt.matrix.conj().T @ a @ pt.matrix), pt)
+        assert abs(tangent_norm(pt, moved, metric) - beta * INJECTIVITY_RADIUS) < 1e-12
 
     def test_beta_zero_is_zero_and_keeps_the_stream(self):
-        pt = random_stiefel(300, 300, np.random.default_rng(6))
         rng, replay_rng = np.random.default_rng(8), np.random.default_rng(8)
-        a = stiefel._random_skew(pt, 0.0, CANONICAL, rng)
-        random_tangent(pt, replay_rng)
+        a = stiefel._random_skew(300, False, 0.0, CANONICAL, rng)
+        identity_replay(300, False, 0.0, CANONICAL, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert not np.any(a)
-        for point in stiefel._geodesic_columns(pt, a, 5, 3):
-            assert np.array_equal(point, pt.matrix[:, :5])
+        x = random_stiefel(300, 5, np.random.default_rng(6)).matrix
+        for point in stiefel._geodesic_columns(x, a, 3):
+            assert np.array_equal(point, x)
 
     def test_raises_as_normalize_and_scale(self, rng):
         pt = random_stiefel(6, 6, rng)
@@ -569,7 +590,40 @@ class TestRandomSkew:
         with pytest.raises(ValueError, match="zero tangent"):
             normalize_and_scale(pt, random_tangent(pt, rng), 0.5, MetricParams(-2.0))
         with pytest.raises(ValueError, match="zero tangent"):
-            stiefel._random_skew(pt, 0.5, MetricParams(-2.0), rng)
+            stiefel._random_skew(6, False, 0.5, MetricParams(-2.0), rng)
+
+
+class TestSquareFactorLogarithm:
+    """At beta = 1 the principal logarithm of U* U2 recovers the drawn generator A = U* delta.
+
+    The square factors are those of the acceptance pages 4 x 2, 10 x 4, 50 x 40 and 20 x 20.
+    logm returns the generator whose eigen-angles lie in (-pi, pi), so A is recovered exactly
+    when the retraction stays injective along the draw.
+    """
+
+    @pytest.mark.parametrize("dim", [2, 4, 10, 20, 40, 50])
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_logm_recovers_generator_below_pi(self, dim, alpha, complex_field):
+        rng = np.random.default_rng(1000 + dim)
+        metric = MetricParams(alpha)
+        past_pi = 0
+        for _ in range(100 if dim <= 4 else 10):
+            u = random_stiefel(dim, dim, rng, complex_field)
+            d = normalize_and_scale(u, random_tangent(u, rng), 1.0, metric)
+            a = u.matrix.conj().T @ d.delta
+            log = scipy.linalg.logm(u.matrix.conj().T @ exp_map(u, d, metric).matrix)
+            if np.abs(np.linalg.eigvals(a)).max() < np.pi:
+                assert np.abs(log - a).max() < 1e-12
+            else:
+                # the endpoint is reached by a shorter generator, so beta no longer orders by distance
+                past_pi += 1
+                assert np.linalg.norm(log) < np.linalg.norm(a)
+        # ||A||_F = 0.89 pi / sqrt(1 - c). A real skew A has ||A||_2 <= ||A||_F / sqrt(2) < pi for
+        # every alpha <= 0; a complex one only ||A||_2 <= ||A||_F, below pi for alpha < -0.37. The
+        # counterexamples sit on complex 2 x 2 and 4 x 4 factors (46 and 82 of 100 2 x 2 draws
+        # at alpha -0.25 and 0); from 10 x 10 on the largest eigen-angle stays below 0.9 pi
+        assert (past_pi > 0) == (complex_field and alpha > -0.5 and dim <= 4)
 
 
 class TestGeodesic:
