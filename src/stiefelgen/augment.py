@@ -28,9 +28,8 @@ from .signal import PageMatrix, TimeSeries, from_page_matrix, smooth, to_page_ma
 from .stiefel import (
     MetricParams,
     StiefelPoint,
+    _action_columns,
     _built,
-    _geodesic_columns,
-    _random_skew,
     _takes_action,
     geodesic,
     normalize_and_scale,
@@ -158,8 +157,7 @@ class _Factorization:
         """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1."""
         if isinstance(factor, StiefelPoint):
             return _factor_path(factor, beta, metric, rng, self.cols, steps)
-        a = _random_skew(factor.shape[0], np.iscomplexobj(factor), beta, metric, rng)
-        return _geodesic_columns(factor, a, steps)
+        return _action_columns(factor, beta, metric, rng, steps)
 
     def draw(self, cfg: AugmentConfig, rng: np.random.Generator) -> AugmentResult:
         """One perturbed reconstruction; tangents are sampled for U first, then V."""
@@ -189,10 +187,10 @@ def stiefelgen_matrix(
     different beta settings. In full-rank mode only the leading
     k = min(m, n) columns of each retracted factor are formed. When the
     long side L has L >= 128 and k <= L/16, its k singular vectors X
-    move as exp(A) X with A = skew(G) drawn and scaled in the ambient
-    frame; that has the law of V exp(skew(V* G)) E_k on the full factor
-    V, so only the thin SVD is taken and no L x L matrix but A is
-    formed. result.factors is the thin (U1, sigma, V1) in every case.
+    move as exp(A) X, drawn in Krylov coordinates of A from X; that has
+    the law of V exp(skew(V* G)) E_k on the full factor V, so only the
+    thin SVD is taken and no L x L matrix is formed. result.factors is
+    the thin (U1, sigma, V1) in every case.
 
     Raises:
         ValueError: for inputs smaller than 2 x 2, non-finite entries or
@@ -279,10 +277,13 @@ def ambient_perturb(
 ) -> np.ndarray:
     """Baseline comparator: jitter the SVD factors off the manifold.
 
-    Adds i.i.d. N(0, sigma^2) noise to U1 and V1 with no retraction and
-    reconstructs. The perturbed factors are generally not orthonormal
-    and the output's singular values are not preserved; provided for
-    comparison studies only.
+    Adds i.i.d. N(0, sigma^2) noise to the k = min(m, n) leading columns
+    of U1 and V1, the ones that enter the output, with no retraction, and
+    reconstructs. The noise is drawn as an m x k array, then an n x k one,
+    so the stream differs from v0.1's, which drew noise for the full
+    m x m and n x n factors. The perturbed factors are generally not
+    orthonormal and the output's singular values are not preserved;
+    provided for comparison studies only.
     """
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -290,9 +291,8 @@ def ambient_perturb(
     # as in _Factorization: the SVD may not return for an infinite entry
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")
-    u1, s, v1h = np.linalg.svd(mat, full_matrices=True)
+    u1, s, v1h = np.linalg.svd(mat, full_matrices=False)
     v1 = v1h.conj().T
     u_noisy = u1 + sigma * rng.standard_normal(u1.shape)
     v_noisy = v1 + sigma * rng.standard_normal(v1.shape)
-    k = s.shape[0]
-    return (u_noisy[:, :k] * s) @ v_noisy[:, :k].conj().T
+    return (u_noisy * s) @ v_noisy.conj().T

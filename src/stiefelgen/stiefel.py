@@ -359,14 +359,13 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
 
 #: The exponential's action pays off only for few columns of a large
 #: factor. With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6,
-#: beta = 1 canonical draws), one action draw (_random_skew, then
-#: _geodesic_columns on 1, m/16 or m/8 columns) took this share of the time
-#: of the dense draw (random_tangent, normalize_and_scale, geodesic) at one
-#: time point: 0.7-0.9x at m = 32, 0.5-0.7x at m = 48, 0.4-0.55x at m = 64,
-#: 0.2-0.3x at m = 96, 0.14-0.19x at m = 128 and 0.06-0.19x at m = 450.
-#: Along a 20-step path it took 0.5x at m = 32 and 0.01-0.15x from m = 96
-#: on. The crossover thus sits below m = 32, far below the cut kept here;
-#: none of the bench workloads has a square factor between 50 and 128.
+#: beta = 1 canonical draws), one action draw (_action_columns on 1, m/16 or
+#: m/8 columns) took this share of the time of the dense draw
+#: (random_tangent, normalize_and_scale, geodesic) at one time point:
+#: 2.6-2.9x at m = 32, 1.1-1.6x at m = 64, 0.2-0.7x at m = 128 and
+#: 0.02-0.4x at m = 450. Along a 20-step path it took 0.75x at m = 32,
+#: 0.3-0.4x at m = 64 and 0.04-0.11x from m = 128 on. For single draws the
+#: crossover thus sits between m = 64 and 128, below the cut kept here.
 _ACTION_MIN_DIM = 128
 _ACTION_COL_RATIO = 16
 
@@ -375,38 +374,11 @@ def _takes_action(dim: int, cols: int) -> bool:
     """Whether a dim x dim factor of which the leading cols columns are used takes the action route.
 
     True only for dim >= 128 and cols <= dim/16. Such a factor is held as
-    those columns X, drawn as _random_skew and retracted by
-    _geodesic_columns; every other factor goes through exp_map's dense
-    exponential.
+    those columns X and moved by _action_columns, which draws exp(t A) X
+    in Krylov coordinates from X, with no dim x dim array; every other
+    factor goes through exp_map's dense exponential.
     """
     return dim >= _ACTION_MIN_DIM and _ACTION_COL_RATIO * cols <= dim
-
-
-def _random_skew(
-    dim: int, complex_field: bool, beta: float, metric: MetricParams, rng: np.random.Generator
-) -> np.ndarray:
-    """A skew(-Hermitian) dim x dim generator A = skew(G) of alpha-norm beta * INJECTIVITY_RADIUS.
-
-    G holds the dim x dim normals that random_tangent draws at a square
-    base of that size, so the generator's stream advances as it would
-    there. At a square base V that tangent is V skew(V* G), and a
-    Gaussian G is orthogonally (unitarily) invariant, so V* G has the
-    law of G: V exp(skew(V* G)) has the law of V exp(V* A V) = exp(A) V.
-    The alpha-norm of V A' is sqrt(1 - c) ||A'||_F (Edelman, Arias &
-    Smith, SIAM J. Matrix Anal. Appl. 20, 1998), so the scale is closed
-    form. beta must already lie in [0, 1] (the callers' configs check
-    it); a zero draw raises as in normalize_and_scale.
-    """
-    g = _standard_normal((dim, dim), complex_field, rng)
-    if beta == 0.0:
-        return np.zeros_like(g)
-    # skew(G) = (G - G*)/2; the half cancels in the scaling
-    a = g - _conj_t(g)
-    norm = np.sqrt(max(1.0 - metric.weight_coefficient, 0.0)) * np.linalg.norm(a)
-    if norm == 0.0:
-        raise ValueError("cannot scale a zero tangent vector to a positive radius")
-    a *= beta * INJECTIVITY_RADIUS / norm
-    return a
 
 
 #: Float64 unit roundoff, where the Taylor action stops, and its cap on terms per
@@ -453,6 +425,120 @@ def _geodesic_columns(x: np.ndarray, a: np.ndarray, steps: int = 1) -> list:
                     break
         out.append(block.copy())
     return out
+
+
+def _krylov_coordinates(
+    dim: int, cols: int, complex_field: bool, beta: float, metric: MetricParams, rng: np.random.Generator
+) -> tuple:
+    """Block-tridiagonal Krylov coordinates of a random skew generator, and how many blocks to keep.
+
+    For dim x dim normals G and an orthonormal dim x k X, the block
+    Householder reduction of G - G* from X is M T M* with M = [X, W, ...]
+    unitary. T is block tridiagonal with independent blocks (as in Dumitriu
+    & Edelman's tridiagonal models, J. Math. Phys. 43, 2002): D_j = g - g*
+    on the diagonal and, below it, R_j, the R factor of a (dim - jk) x k
+    Gaussian with the entry variance of G - G*, whose row i holds a chi
+    with dim - jk - i degrees of freedom (twice that over the complex
+    field) on the diagonal and normals right of it. The draw is D, then
+    those normals, then the chi-squares.
+
+    Returns (diag, sub, blocks): the nb = ceil(dim/k) blocks D_j and the
+    nb - 1 blocks R_j, zero-padded to k x k where the last block is
+    shorter, scaled to alpha-norm sqrt(1 - c) ||T||_F = beta * 0.89 pi as
+    normalize_and_scale would at a square base; and the least d <= nb with
+    rho^d / d! below unit roundoff, where rho, the largest block-row sum of
+    block 2-norms of T at beta = 1, bounds ||T||_2. Dropping the blocks
+    past the d-th moves exp(t T) E_k by at most ||R_d|| rho^(d-1) / d!
+    <= rho^d / d! for t in [0, 1]. Neither blocks nor the stream depends
+    on beta; a zero norm raises as in normalize_and_scale.
+    """
+    k = cols
+    nb = -(-dim // k)
+    g = _standard_normal((nb, k, k), complex_field, rng)
+    diag = g - g.conj().transpose(0, 2, 1)
+    above = _standard_normal((nb - 1, k * (k - 1) // 2), complex_field, rng)
+    # rows left below block j, one per row i of R_j, j = 1, ..., nb - 1
+    rows = dim - k * np.arange(1, nb)[:, None] - np.arange(k)
+    live = rows > 0
+    sub = np.zeros_like(diag[1:])
+    sub[(slice(None), *np.triu_indices(k, 1))] = above
+    chi = np.zeros(rows.shape)
+    chi[live] = np.sqrt(rng.chisquare((2 if complex_field else 1) * rows[live]))
+    sub[:, np.arange(k), np.arange(k)] = chi
+    sub[~live] = 0.0
+    # G - G* has entry variance 2 (per part over the complex field), g has 1
+    sub *= np.sqrt(2.0)
+    last = dim - (nb - 1) * k
+    diag[-1, last:] = 0.0
+    diag[-1, :, last:] = 0.0
+    fro2 = np.linalg.norm(diag) ** 2 + 2.0 * np.linalg.norm(sub) ** 2
+    norm = np.sqrt(max(1.0 - metric.weight_coefficient, 0.0) * fro2)
+    if norm == 0.0:
+        raise ValueError("cannot scale a zero tangent vector to a positive radius")
+    scale = INJECTIVITY_RADIUS / norm
+    row_sums = np.linalg.norm(diag, 2, axis=(1, 2))
+    sub_norms = np.linalg.norm(sub, 2, axis=(1, 2))
+    row_sums[1:] += sub_norms
+    row_sums[:-1] += sub_norms
+    rho = scale * row_sums.max()
+    term, blocks = 1.0, 0
+    while term > _UNIT_ROUNDOFF and blocks < nb:
+        blocks += 1
+        term *= rho / blocks
+    diag *= beta * scale
+    sub *= beta * scale
+    return diag, sub, blocks
+
+
+def _block_tridiagonal(diag: np.ndarray, sub: np.ndarray, size: int) -> np.ndarray:
+    """The leading size x size corner of the skew matrix with blocks diag, sub below and -sub* above."""
+    nb, k, _ = diag.shape
+    t = np.zeros((nb, k, nb, k), dtype=diag.dtype)
+    j = np.arange(nb)
+    t[j, :, j, :] = diag
+    t[j[1:], :, j[:-1], :] = sub[: nb - 1]
+    t[j[:-1], :, j[1:], :] = -sub[: nb - 1].conj().transpose(0, 2, 1)
+    return t.reshape(nb * k, nb * k)[:size, :size]
+
+
+def _haar_complement(x: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed orthonormal L x width frame orthogonal to the columns of x.
+
+    The Q factor of (I - X X*) N for an L x width Gaussian N, with its
+    columns' phases fixed so that R has a positive diagonal (Mezzadri,
+    Notices AMS 54, 2007).
+    """
+    n = _standard_normal((x.shape[0], width), np.iscomplexobj(x), rng)
+    q, r = np.linalg.qr(n - x @ (_conj_t(x) @ n))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _action_columns(
+    x: np.ndarray, beta: float, metric: MetricParams, rng: np.random.Generator, steps: int = 1
+) -> list:
+    """exp(t A) X drawn in Krylov coordinates, for a random skew A of alpha-norm beta * 0.89 pi.
+
+    Returns one L x k array per t = 1/steps, ..., 1. At a square base V,
+    random_tangent's V exp(skew(V* G)) has the law of exp(A) V for A the
+    scaled G - G*, since V* G has the law of G. With A = M T M*
+    (_krylov_coordinates), exp(t A) X = M exp(t T) E_k, and by the
+    reduction's invariance the frame W past X is Haar in the complement of
+    X and independent of T. So only T and the columns of W that the kept
+    blocks reach are drawn (_haar_complement), and X c1 + W c2 is returned
+    for [c1; c2] = exp(t T_d) E_k on the kept corner T_d. No L x L array is
+    formed. The stream advances the same for every beta; at beta = 0 X
+    itself comes back.
+    """
+    dim, k = x.shape
+    diag, sub, blocks = _krylov_coordinates(dim, k, np.iscomplexobj(x), beta, metric, rng)
+    size = min(blocks * k, dim)
+    w = _haar_complement(x, size - k, rng)
+    if beta == 0.0:
+        return [x] * steps
+    t = _block_tridiagonal(diag[:blocks], sub, size)
+    cols = _geodesic_columns(np.eye(size, k, dtype=t.dtype), t, steps)
+    return [x @ c[:k] + w @ c[k:] for c in cols]
 
 
 def exp_map(

@@ -1,6 +1,7 @@
 """Tests for the generation pipeline."""
 
 import copy
+import itertools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from stiefelgen.augment import (
 )
 from stiefelgen.signal import TimeSeries, to_page_matrix
 from stiefelgen.stiefel import (
+    CANONICAL,
     INJECTIVITY_RADIUS,
     StiefelPoint,
     TangentVector,
@@ -142,6 +144,43 @@ class TestStiefelgenMatrix:
         for alpha in (-1.0, -0.51, 0.5, np.nan):
             with pytest.raises(ValueError, match="alpha"):
                 AugmentConfig(alpha=alpha)
+
+
+class TestSeedingAcrossBeta:
+    """U, then V, is sampled regardless of the beta values, so the Generator ends in one state."""
+
+    PAGES = {
+        "dense-24x16": (sine_matrix(), None),
+        "action-5x300": (np.random.default_rng(31).standard_normal((5, 300)), None),
+        "rank-3": (sine_matrix(), 3),
+    }
+
+    @pytest.mark.parametrize("page", list(PAGES))
+    def test_generator_state_does_not_depend_on_beta(self, page):
+        mat, rank = self.PAGES[page]
+        states = []
+        for beta_u, beta_v in itertools.product([0.0, 0.3, 1.0], repeat=2):
+            cfg = AugmentConfig(beta_u=beta_u, beta_v=beta_v, rank=rank)
+            rng = np.random.default_rng(19)
+            stiefelgen_matrix(mat, cfg, rng)
+            states.append(rng.bit_generator.state)
+            if rank is None:
+                # geodesic paths have no rank mode
+                rng = np.random.default_rng(19)
+                geodesic_path(mat, cfg, 4, rng)
+                states.append(rng.bit_generator.state)
+        assert all(state == states[0] for state in states)
+
+    def test_zero_beta_action_block_is_bitwise(self):
+        mat = self.PAGES["action-5x300"][0]
+        fac = augment._Factorization(mat, None)
+        assert fac.v.shape == (300, 5)
+        for steps in (1, 4):
+            points = fac.path(fac.v, 0.0, CANONICAL, np.random.default_rng(20), steps)
+            assert len(points) == steps and all(np.array_equal(point, fac.v) for point in points)
+        out = stiefelgen_matrix(mat, AugmentConfig(), np.random.default_rng(20))
+        u1, s, v1 = out.factors
+        assert np.array_equal(out.generated, (u1 * s) @ v1.conj().T)
 
 
 class TestStiefelgenSeries:
@@ -275,15 +314,20 @@ def public_replay(mat, cfg, rng):
 def ambient_replay(factors, cfg, rng):
     """A wide action page's draw through the public steps, U then V, as factor points and scaled tangents.
 
-    U is square and goes through random_tangent -> normalize_and_scale. V's generator A is replayed
-    at the identity, where the scaled tangent is A itself, and carried to a square completion V of
-    the thin V1 as the tangent V (V* A V), whose exp_map is V exp(V* A V) = exp(A) V.
+    U is square and goes through random_tangent -> normalize_and_scale. V's draw is replayed in its
+    order: the Krylov coordinates T of the generator from the thin V1 (every block, the dropped
+    ones too), then the frame W past V1. The generator A = M T M* on a unitary completion
+    M = [V1, W, W'] is carried to a square completion V of V1 as the tangent V (V* A V), whose
+    exp_map is V exp(V* A V) = exp(A) V.
     """
     u1, _, v1 = factors
     u_pt = StiefelPoint(u1)
     du = normalize_and_scale(u_pt, random_tangent(u_pt, rng), cfg.beta_u, cfg.metric)
-    eye = StiefelPoint(np.eye(v1.shape[0], dtype=v1.dtype))
-    a = normalize_and_scale(eye, random_tangent(eye, rng), cfg.beta_v, cfg.metric).delta
+    dim, k = v1.shape
+    diag, sub, blocks = stiefel._krylov_coordinates(dim, k, np.iscomplexobj(v1), cfg.beta_v, cfg.metric, rng)
+    frame = np.hstack([v1, stiefel._haar_complement(v1, min(blocks * k, dim) - k, rng)])
+    m = np.hstack([frame, scipy.linalg.null_space(frame.conj().T)])
+    a = m @ stiefel._block_tridiagonal(diag, sub, dim) @ m.conj().T
     v = np.hstack([v1, scipy.linalg.null_space(v1.conj().T)])
     v_pt = StiefelPoint(v)
     return (u_pt, du), (v_pt, TangentVector(v @ (v.conj().T @ a @ v), v_pt))
@@ -338,26 +382,55 @@ class TestWidePageSkewDraw:
 
 
 class TestAmbientDrawLaw:
-    """The ambient-frame draw has the law of the public route it replaced, on a 4 x 160 action page."""
+    """The Krylov-coordinate draw has the law of the public route, on a 4 x 160 action page.
+
+    Four statistics of V's moved columns V2: the inner product of the first with the first
+    singular vector, the change ||generated - input||_F, the first column's component along
+    w, the first coordinate axis projected off the four singular vectors, and ||V1* V2||_F.
+    Only the frame W past V1 reaches w, and QR ties W's unfixed phases to the coordinate
+    axes; ||V1* V2||_F weighs the sub-diagonal blocks, which move V1 out of its span,
+    against the diagonal ones, which turn it within.
+    """
 
     DRAWS = 1000
+    # field, alpha and the (public, new) seeds, each fixed before its first run
+    CASES = [
+        (False, -0.25, 62, 63),
+        (False, -0.5, 64, 65),
+        (False, 0.0, 66, 67),
+        (True, -0.5, 68, 69),
+        (True, 0.0, 70, 71),
+    ]
 
     def test_two_sample_ks_against_public_route(self):
-        mat = np.random.default_rng(61).standard_normal((4, 160))
-        cfg = AugmentConfig(beta_u=0.0, beta_v=1.0, alpha=-0.25)
-        u1, s, v1h = np.linalg.svd(mat, full_matrices=True)
-        v_pt = StiefelPoint(v1h.T)
-        old_rng, new_rng = np.random.default_rng(62), np.random.default_rng(63)
-        old, new = np.empty((2, self.DRAWS)), np.empty((2, self.DRAWS))
-        for i in range(self.DRAWS):
-            d = normalize_and_scale(v_pt, random_tangent(v_pt, old_rng), cfg.beta_v, cfg.metric)
-            v2 = exp_map(v_pt, d, cfg.metric).matrix[:, :4]
-            old[:, i] = v1h[0] @ v2[:, 0], np.linalg.norm((u1 * s) @ v2.T - mat)
-            generated = stiefelgen_matrix(mat, cfg, new_rng).generated
-            v2 = np.linalg.solve(u1 * s, generated).T
-            new[:, i] = v1h[0] @ v2[:, 0], np.linalg.norm(generated - mat)
-        for old_stat, new_stat in zip(old, new):
-            assert scipy.stats.ks_2samp(old_stat, new_stat).pvalue > 1e-3
+        for complex_field, alpha, old_seed, new_seed in self.CASES:
+            r = np.random.default_rng(61)
+            mat = r.standard_normal((4, 160))
+            if complex_field:
+                mat = mat + 1j * r.standard_normal((4, 160))
+            cfg = AugmentConfig(beta_u=0.0, beta_v=1.0, alpha=alpha)
+            u1, s, vh = np.linalg.svd(mat, full_matrices=True)
+            v = vh.conj().T
+            v1, v_pt = v[:, :4], StiefelPoint(v)
+            w = -v1 @ v1[0].conj()
+            w[0] += 1.0
+            w /= np.linalg.norm(w)
+
+            def stats(v2):
+                change = np.linalg.norm((u1 * s) @ v2.conj().T - mat)
+                first = v2[:, 0]
+                overlap = np.linalg.norm(v1.conj().T @ v2)
+                return np.real(v1[:, 0].conj() @ first), change, np.real(w.conj() @ first), overlap
+
+            old_rng, new_rng = np.random.default_rng(old_seed), np.random.default_rng(new_seed)
+            old, new = np.empty((4, self.DRAWS)), np.empty((4, self.DRAWS))
+            for i in range(self.DRAWS):
+                d = normalize_and_scale(v_pt, random_tangent(v_pt, old_rng), cfg.beta_v, cfg.metric)
+                old[:, i] = stats(exp_map(v_pt, d, cfg.metric).matrix[:, :4])
+                generated = stiefelgen_matrix(mat, cfg, new_rng).generated
+                new[:, i] = stats(np.linalg.solve(u1 * s, generated).conj().T)
+            for old_stat, new_stat in zip(old, new):
+                assert scipy.stats.ks_2samp(old_stat, new_stat).pvalue > 1e-3, (complex_field, alpha)
 
 
 class TestTrustedFactors:
@@ -459,6 +532,19 @@ class TestAmbientPerturb:
         got = np.linalg.svd(out, compute_uv=False)
         want = np.linalg.svd(mat, compute_uv=False)
         assert np.abs(got - want).max() > 1e-6
+
+    @pytest.mark.parametrize("shape", [(5, 450), (24, 16)])
+    def test_replays_noise_on_the_used_columns(self, shape):
+        # noise of shape (m, k), then (n, k), on the thin SVD's factors
+        mat = np.random.default_rng(17).standard_normal(shape)
+        rng, replay_rng = np.random.default_rng(18), np.random.default_rng(18)
+        out = ambient_perturb(mat, 0.05, rng)
+        (m, n), k = shape, min(shape)
+        u1, s, v1h = np.linalg.svd(mat, full_matrices=False)
+        u_noisy = u1 + 0.05 * replay_rng.standard_normal((m, k))
+        v_noisy = v1h.T + 0.05 * replay_rng.standard_normal((n, k))
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert np.abs(out - (u_noisy * s) @ v_noisy.T).max() < 1e-12
 
     def test_rejects_negative_sigma(self, rng):
         with pytest.raises(ValueError, match="sigma"):

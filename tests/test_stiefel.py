@@ -1,8 +1,11 @@
 """Tests for the Stiefel manifold operations."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 
 from conftest import random_stiefel
 from stiefelgen import augment, stiefel
@@ -467,7 +470,7 @@ class TestExpMap:
 def identity_replay(dim, complex_field, beta, metric, rng):
     """The scaled tangent of the public sample -> project -> scale steps at the dim x dim identity.
 
-    At U = I the tangent is its own generator U* delta = skew(G), so this replays _random_skew.
+    At U = I the tangent is its own generator U* delta = skew(G), scaled to alpha-norm beta * 0.89 pi.
     """
     eye = StiefelPoint(np.eye(dim, dtype=complex if complex_field else float))
     return eye, normalize_and_scale(eye, random_tangent(eye, rng), beta, metric)
@@ -485,7 +488,7 @@ class TestGeodesicColumns:
         rng = np.random.default_rng(m + cols)
         pt = random_stiefel(m, m, rng, complex_field)
         x = pt.matrix[:, :cols]
-        a = stiefel._random_skew(m, complex_field, 1.0, CANONICAL, rng)
+        a = identity_replay(m, complex_field, 1.0, CANONICAL, rng)[1].delta
         got = stiefel._geodesic_columns(x, a, steps)
         assert len(got) == steps
         for step, point in enumerate(got, start=1):
@@ -521,7 +524,7 @@ class TestGeodesicColumns:
         rng = np.random.default_rng(450)
         x = random_stiefel(450, 5, rng, complex_field).matrix
         metric = MetricParams(alpha)
-        a = stiefel._random_skew(450, complex_field, 1.0, metric, rng)
+        a = identity_replay(450, complex_field, 1.0, metric, rng)[1].delta
         want_fro = INJECTIVITY_RADIUS / np.sqrt(1.0 - metric.weight_coefficient)
         assert abs(np.linalg.norm(a) - want_fro) < 1e-12
         got = stiefel._geodesic_columns(x, a, steps)
@@ -554,43 +557,178 @@ class TestGeodesicColumns:
             assert np.array_equal(point, x)
 
 
+def krylov_replay(dim, k, complex_field, rng):
+    """The unscaled dim x dim T of _krylov_coordinates, rebuilt block by block in its draw order."""
+    nb = -(-dim // k)
+    dtype = complex if complex_field else float
+
+    def normals(shape):
+        if complex_field:
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return rng.standard_normal(shape)
+
+    g = normals((nb, k, k))
+    above = normals((nb - 1, k * (k - 1) // 2))
+    dof = [dim - j * k - i for j in range(1, nb) for i in range(k) if dim - j * k - i > 0]
+    chi = iter(np.sqrt(rng.chisquare((2 if complex_field else 1) * np.array(dof))))
+    t = np.zeros((dim, dim), dtype=dtype)
+    for j in range(nb):
+        lo, hi = j * k, min(dim, (j + 1) * k)
+        t[lo:hi, lo:hi] = (g[j] - g[j].conj().T)[: hi - lo, : hi - lo]
+        if j == 0:
+            continue
+        # R_j: the R factor of a (dim - jk) x k Gaussian with the entry variance 2 of G - G*
+        r = np.zeros((k, k), dtype=dtype)
+        r[np.triu_indices(k, 1)] = above[j - 1]
+        for i in range(hi - lo):
+            r[i, i] = next(chi)
+        r = np.sqrt(2.0) * r[: hi - lo]
+        t[lo:hi, lo - k : lo] = r
+        t[lo - k : lo, lo:hi] = -r.conj().T
+    return t
+
+
 class TestRandomSkew:
-    """The ambient skew draw against the public sample -> project -> scale replay at the identity."""
+    """The action route's skew generator, drawn as block-tridiagonal Krylov coordinates T."""
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 0.5])
     @pytest.mark.parametrize("beta", [0.3, 1.0])
     def test_matches_public_replay(self, complex_field, alpha, beta):
+        # 40 = 13 * 3 + 1: the last block has one row
+        dim, k = 40, 3
         metric = MetricParams(alpha)
         rng, replay_rng = np.random.default_rng(17), np.random.default_rng(17)
-        a = stiefel._random_skew(40, complex_field, beta, metric, rng)
-        eye, d = identity_replay(40, complex_field, beta, metric, replay_rng)
+        diag, sub, blocks = stiefel._krylov_coordinates(dim, k, complex_field, beta, metric, rng)
+        raw = krylov_replay(dim, k, complex_field, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
-        assert np.array_equal(a, -a.conj().T)
-        assert np.abs(a - d.delta).max() < 1e-12
+        t = stiefel._block_tridiagonal(diag, sub, dim)
+        assert np.array_equal(t, -t.conj().T)
+        scale = INJECTIVITY_RADIUS / (np.sqrt(1.0 - metric.weight_coefficient) * np.linalg.norm(raw))
+        assert np.abs(t - beta * scale * raw).max() < 1e-12
+        # carried by any unitary M to A = M T M*, at the identity and at a random square base V as
+        # the tangent V (V* A V), the alpha-norm is beta * 0.89 pi
+        frame = random_stiefel(dim, dim, np.random.default_rng(4), complex_field).matrix
+        a = frame @ t @ frame.conj().T
+        eye = StiefelPoint(np.eye(dim, dtype=a.dtype))
         assert abs(tangent_norm(eye, TangentVector(a, eye), metric) - beta * INJECTIVITY_RADIUS) < 1e-12
-        # carried to any square base V as V (V* A V), the norm is the same
-        pt = random_stiefel(40, 40, np.random.default_rng(5), complex_field)
+        pt = random_stiefel(dim, dim, np.random.default_rng(5), complex_field)
         moved = TangentVector(pt.matrix @ (pt.matrix.conj().T @ a @ pt.matrix), pt)
         assert abs(tangent_norm(pt, moved, metric) - beta * INJECTIVITY_RADIUS) < 1e-12
+        # the kept blocks do not depend on beta, and bound the neglected tail at beta = 1
+        at_one = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, metric, np.random.default_rng(17))
+        assert at_one[2] == blocks
+        rho = np.linalg.norm(scale * raw, 2)
+        assert blocks == -(-dim // k) or rho**blocks / math.factorial(blocks) <= 2.0**-53
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_blocks_have_the_law_of_a_reduced_gaussian(self, complex_field):
+        # D_0 = X* A X, R_1 from the positive-diagonal QR of (I - X X*) A X and D_1 = X_1* A X_1
+        # for A = G - G*, against the sampler's blocks, both over ||A||_F = ||T||_F
+        dim, k, draws = 40, 3, 2000
+        rng = np.random.default_rng(71)
+        x = random_stiefel(dim, k, rng, complex_field).matrix
+        reduced, drawn = np.empty((4, draws)), np.empty((4, draws))
+        for i in range(draws):
+            g = rng.standard_normal((dim, dim))
+            if complex_field:
+                g = g + 1j * rng.standard_normal((dim, dim))
+            a = g - g.conj().T
+            q, r = np.linalg.qr(a @ x - x @ (x.conj().T @ a @ x))
+            phase = np.diagonal(r) / np.abs(np.diagonal(r))
+            q, r = q * phase, r * phase.conj()[:, None]
+            d0, d1 = x.conj().T @ a @ x, q.conj().T @ a @ q
+            reduced[:, i] = np.real([d0[1, 0], r[0, 0], r[0, 1], d1[2, 1]]) / np.linalg.norm(a)
+            diag, sub, _ = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, CANONICAL, rng)
+            t_norm = np.sqrt(np.linalg.norm(diag) ** 2 + 2.0 * np.linalg.norm(sub) ** 2)
+            drawn[:, i] = np.real([diag[0, 1, 0], sub[0, 0, 0], sub[0, 0, 1], diag[1, 2, 1]]) / t_norm
+        for want, got in zip(reduced, drawn):
+            assert scipy.stats.ks_2samp(want, got).pvalue > 1e-3
 
     def test_beta_zero_is_zero_and_keeps_the_stream(self):
-        rng, replay_rng = np.random.default_rng(8), np.random.default_rng(8)
-        a = stiefel._random_skew(300, False, 0.0, CANONICAL, rng)
-        identity_replay(300, False, 0.0, CANONICAL, replay_rng)
-        assert rng.bit_generator.state == replay_rng.bit_generator.state
-        assert not np.any(a)
         x = random_stiefel(300, 5, np.random.default_rng(6)).matrix
-        for point in stiefel._geodesic_columns(x, a, 3):
-            assert np.array_equal(point, x)
+        rng, replay_rng = np.random.default_rng(8), np.random.default_rng(8)
+        out = stiefel._action_columns(x, 0.0, CANONICAL, rng, 3)
+        stiefel._action_columns(x, 1.0, CANONICAL, replay_rng, 3)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert len(out) == 3 and all(point is x for point in out)
+        diag, sub, _ = stiefel._krylov_coordinates(300, 5, False, 0.0, CANONICAL, np.random.default_rng(8))
+        assert not np.any(diag) and not np.any(sub)
 
     def test_raises_as_normalize_and_scale(self, rng):
         pt = random_stiefel(6, 6, rng)
         # alpha < -1 gives c > 1, where the metric norm of every U A tangent clips to zero
         with pytest.raises(ValueError, match="zero tangent"):
             normalize_and_scale(pt, random_tangent(pt, rng), 0.5, MetricParams(-2.0))
+        x = random_stiefel(160, 4, rng).matrix
         with pytest.raises(ValueError, match="zero tangent"):
-            stiefel._random_skew(6, False, 0.5, MetricParams(-2.0), rng)
+            stiefel._action_columns(x, 0.5, MetricParams(-2.0), rng)
+
+
+class CountingGenerator:
+    """A Generator stand-in that counts the real normals and chi-squares drawn through it."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def standard_normal(self, shape):
+        self.drawn += math.prod(shape)
+        return self.rng.standard_normal(shape)
+
+    def chisquare(self, df):
+        self.drawn += np.size(df)
+        return self.rng.chisquare(df)
+
+
+class TestKrylovDraw:
+    """exp(t A) X drawn in Krylov coordinates against scipy.linalg.expm of the completed generator."""
+
+    # 300 = 42 * 7 + 6 leaves a short last block; alpha = 0, beta = 1 is the largest admissible norm
+    @pytest.mark.parametrize("dim, k", [(160, 4), (300, 7), (450, 5)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_matches_expm_of_completed_generator(self, dim, k, complex_field):
+        x = random_stiefel(dim, k, np.random.default_rng(dim + k), complex_field).matrix
+        rng, replay_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = stiefel._action_columns(x, 1.0, CANONICAL, rng, 20)
+        diag, sub, blocks = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, CANONICAL, replay_rng)
+        w = stiefel._haar_complement(x, min(blocks * k, dim) - k, replay_rng)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        frame = np.hstack([x, w])
+        assert np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[1])) < 1e-12
+        # M = [X, W, W'] with any unitary completion W'; T holds every block, the dropped ones too
+        m = np.hstack([frame, scipy.linalg.null_space(frame.conj().T)])
+        a = m @ stiefel._block_tridiagonal(diag, sub, dim) @ m.conj().T
+        assert abs(np.linalg.norm(a) / np.sqrt(2.0) - INJECTIVITY_RADIUS) < 1e-12
+        assert len(got) == 20
+        for step, point in enumerate(got, start=1):
+            assert np.abs(point - scipy.linalg.expm(step / 20 * a) @ x).max() < 1e-12
+            assert np.linalg.norm(point.conj().T @ point - np.eye(k)) < 1e-8
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("steps", [1, 20])
+    def test_draws_below_a_quarter_of_the_dense_normals(self, complex_field, steps):
+        # the 450 x 5 block of a 5 x 450 page; the dense draw took 450^2 normals per field part
+        x = random_stiefel(450, 5, np.random.default_rng(9), complex_field).matrix
+        counting = CountingGenerator(np.random.default_rng(10))
+        stiefel._action_columns(x, 1.0, CANONICAL, counting, steps)
+        parts = 2 if complex_field else 1
+        assert 0 < counting.drawn < parts * 450**2 / 4
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_haar_complement_is_the_positive_qr_of_the_projected_gaussian(self, complex_field):
+        x = random_stiefel(200, 6, np.random.default_rng(12), complex_field).matrix
+        rng, replay_rng = np.random.default_rng(13), np.random.default_rng(13)
+        w = stiefel._haar_complement(x, 30, rng)
+        n = replay_rng.standard_normal((200, 30))
+        if complex_field:
+            n = n + 1j * replay_rng.standard_normal((200, 30))
+        assert w.shape == (200, 30)
+        assert np.abs(x.conj().T @ w).max() < 1e-13
+        assert np.linalg.norm(w.conj().T @ w - np.eye(30)) < 1e-13
+        # (I - X X*) N = W R with R upper triangular and a real positive diagonal (Mezzadri's fix)
+        r = w.conj().T @ (n - x @ (x.conj().T @ n))
+        assert np.abs(np.tril(r, -1)).max() < 1e-12
+        assert np.abs(np.diagonal(r).imag).max() < 1e-12 and np.diagonal(r).real.min() > 0
 
 
 class TestSquareFactorLogarithm:
@@ -624,6 +762,84 @@ class TestSquareFactorLogarithm:
         # counterexamples sit on complex 2 x 2 and 4 x 4 factors (46 and 82 of 100 2 x 2 draws
         # at alpha -0.25 and 0); from 10 x 10 on the largest eigen-angle stays below 0.9 pi
         assert (past_pi > 0) == (complex_field and alpha > -0.5 and dim <= 4)
+
+
+def stiefel_log(u0, u1, tol=1e-13, max_iter=2000):
+    """Canonical-metric Riemannian logarithm on St(m, n): the tangent at u0 whose exp_map is u1.
+
+    Zimmermann's algebraic Stiefel logarithm (SIAM J. Matrix Anal. Appl. 38, 2017) with the
+    Sylvester-enhanced update of Zimmermann & Hueper (arXiv 2103.12046). With M = u0* u1 and
+    u1 - u0 M = Q N, it rotates the completion [X; Y] of the unitary V = [M X; N Y] until logm(V)
+    has a zero lower-right block C; then logm(V) = [A -B*; B 0] and the tangent is u0 A + Q B.
+    The completion starts where a geodesic with A = 0 would put it: with N = P S W*, at
+    Y = P W* M* W P*, so the iteration starts in the basin of the drawn geodesic. Returns None
+    when it does not converge.
+    """
+    n = u0.shape[1]
+    m = u0.conj().T @ u1
+    q, nmat = np.linalg.qr(u1 - u0 @ m)
+    mn = np.vstack([m, nmat])
+    comp = scipy.linalg.null_space(mn.conj().T)
+    p, _, wh = np.linalg.svd(nmat)
+    target = p @ wh @ m.conj().T @ wh.conj().T @ p.conj().T
+    left, _, right = np.linalg.svd(comp[n:].conj().T @ target)
+    v = np.hstack([mn, comp @ left @ right])
+    for _ in range(max_iter):
+        log = scipy.linalg.logm(v)
+        if not np.iscomplexobj(u0):
+            # a real V with an eigenvalue -1 has no real logarithm
+            if np.abs(np.imag(log)).max() > 1e-10:
+                return None
+            log = log.real
+        b, c = log[n:, :n], log[n:, n:]
+        c = (c - c.conj().T) / 2.0
+        if np.linalg.norm(c) < tol:
+            return u0 @ log[:n, :n] + q @ b
+        s = b @ b.conj().T / 12.0 - 0.5 * np.eye(n)
+        g = scipy.linalg.solve_sylvester(s, s, c)
+        v[:, n:] = v[:, n:] @ scipy.linalg.expm((g - g.conj().T) / 2.0)
+    return None
+
+
+class TestThinFactorLogarithm:
+    """The canonical-metric logarithm of a thin factor's retraction recovers the scaled tangent.
+
+    The factors are those of the forecast workload's complex 400 x 2 and 199 x 2 DMD factors and
+    of a rank-3 run on a real 24 x 16 page. A draw that does not round-trip must be a shorter
+    geodesic to the same endpoint: a counterexample to the 0.89 pi radius, not a failed log.
+    """
+
+    @pytest.mark.parametrize(
+        "shape, complex_field, draws",
+        [((400, 2), True, 6), ((199, 2), True, 6), ((24, 3), False, 10)],
+        ids=["400x2-complex", "199x2-complex", "24x3-rank"],
+    )
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_log_recovers_scaled_tangent(self, shape, complex_field, draws, beta):
+        rng = np.random.default_rng(2000 + shape[0])
+        if complex_field:
+            points = [random_stiefel(*shape, rng, True) for _ in range(draws)]
+        else:
+            page = np.sin(np.linspace(0, 8, 24 * 16)).reshape(24, 16) + 1.5
+            points = [augment._Factorization(page, 3).u] * draws
+        shorter = 0
+        for u in points:
+            d = normalize_and_scale(u, random_tangent(u, rng), beta, CANONICAL)
+            end = exp_map(u, d).matrix
+            log = stiefel_log(u.matrix, end)
+            assert log is not None
+            if np.abs(log - d.delta).max() < 1e-10:
+                continue
+            # another geodesic reaches the same endpoint, and it is shorter
+            found = TangentVector(log, u)
+            assert np.abs(exp_map(u, found).matrix - end).max() < 1e-12
+            assert tangent_norm(u, found) < tangent_norm(u, d)
+            shorter += 1
+        # complex factors carry a U(n) phase: a tangent u A whose skew-Hermitian A puts its norm
+        # into one eigen-angle closes after length pi sqrt(2), so beta = 1 draws pass the cut locus
+        # (4 of 6 400 x 2 and 5 of 6 199 x 2 draws here, by geodesics of 0.886-0.890 pi against
+        # 0.89 pi); real factors and beta = 0.5 round-trip
+        assert (shorter > 0) == (complex_field and beta == 1.0)
 
 
 class TestGeodesic:
