@@ -13,7 +13,6 @@ ensemble builders spawn one child generator per member from it.
 
 from .augment import (
     AugmentConfig,
-    AugmentResult,
     ambient_perturb,
     batch_generate,
     geodesic_path,

@@ -41,7 +41,6 @@ from .stiefel import exp_map  # noqa: F401
 
 __all__ = [
     "AugmentConfig",
-    "AugmentResult",
     "stiefelgen_matrix",
     "stiefelgen_series",
     "geodesic_path",
@@ -86,35 +85,18 @@ class AugmentConfig:
         return MetricParams(self.alpha)
 
 
-@dataclass(frozen=True)
-class AugmentResult:
-    """A generated matrix plus the factorization it came from.
-
-    factors holds the thin (U1, sigma, V1) of the input: the k = min(m, n)
-    leading singular vectors on each side. In full-rank mode the
-    singular values of `generated` equal sigma to within 1e-8.
-    """
-
-    generated: np.ndarray
-    factors: tuple
-
-
 def _factor_path(
-    point: StiefelPoint,
-    beta: float,
-    metric: MetricParams,
-    rng: np.random.Generator,
-    cols: int,
-    steps: int = 1,
+    factor, beta: float, metric: MetricParams, rng: np.random.Generator, cols: int, steps: int = 1
 ) -> list:
-    """Sample, scale and retract one factor point: its leading cols columns at t = 1/steps, ..., 1.
+    """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1.
 
-    The retraction goes through geodesic, whose t = 1 point is exp_map's.
+    A plain L x k block (the long side of an action page) moves as exp(A) X in
+    the ambient frame; a point goes through geodesic, whose t = 1 point is exp_map's.
     """
-    d = normalize_and_scale(point, random_tangent(point, rng), beta, metric)
-    return [
-        geodesic(point, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)
-    ]
+    if not isinstance(factor, StiefelPoint):
+        return _action_columns(factor, beta, metric, rng, steps)
+    d = normalize_and_scale(factor, random_tangent(factor, rng), beta, metric)
+    return [geodesic(factor, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)]
 
 
 class _Factorization:
@@ -144,30 +126,22 @@ class _Factorization:
         self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=not action)
         v1 = self.v1h.conj().T
         self.cols = k if rank is None else rank
-        self.factors = (self.u1[:, :k], self.sigma, v1[:, :k])
         # only the thin SVD of an action page leaves a non-square factor, its long side;
         # [:, :None] keeps every column
         self.u, self.v = (
             f if f.shape[0] > f.shape[1] else _built(StiefelPoint, f[:, :rank]) for f in (self.u1, v1)
         )
 
-    def path(
-        self, factor, beta: float, metric: MetricParams, rng: np.random.Generator, steps: int = 1
-    ) -> list:
-        """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1."""
-        if isinstance(factor, StiefelPoint):
-            return _factor_path(factor, beta, metric, rng, self.cols, steps)
-        return _action_columns(factor, beta, metric, rng, steps)
-
-    def draw(self, cfg: AugmentConfig, rng: np.random.Generator) -> AugmentResult:
-        """One perturbed reconstruction; tangents are sampled for U first, then V."""
+    def path(self, cfg: AugmentConfig, rng: np.random.Generator, steps: int = 1) -> list:
+        """Reconstructions along one draw at t = 1/steps, ..., 1; U's tangent is sampled first, then V's."""
         d, k = self.cols, self.sigma.shape[0]
-        u2 = self.path(self.u, cfg.beta_u, cfg.metric, rng)[0]
-        v2 = self.path(self.v, cfg.beta_v, cfg.metric, rng)[0]
-        generated = (u2 * self.sigma[:d]) @ v2.conj().T
+        u_path = _factor_path(self.u, cfg.beta_u, cfg.metric, rng, d, steps)
+        v_path = _factor_path(self.v, cfg.beta_v, cfg.metric, rng, d, steps)
+        path = [(u_t * self.sigma[:d]) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
         if d < k:
-            generated = generated + (self.u1[:, d:k] * self.sigma[d:]) @ self.v1h[d:k, :]
-        return AugmentResult(generated, self.factors)
+            residual = (self.u1[:, d:k] * self.sigma[d:]) @ self.v1h[d:k, :]
+            path = [generated + residual for generated in path]
+        return path
 
 
 def _unpage(generated: np.ndarray, pm: PageMatrix, smooth_len: int) -> TimeSeries:
@@ -179,25 +153,27 @@ def stiefelgen_matrix(
     mat: np.ndarray,
     cfg: AugmentConfig,
     rng: np.random.Generator,
-) -> AugmentResult:
+) -> np.ndarray:
     """Perturb a matrix by moving its SVD factors along random geodesics.
 
-    Tangents are always sampled for U first and V second, regardless of
-    the beta values, so runs with the same seed share directions across
-    different beta settings. In full-rank mode only the leading
-    k = min(m, n) columns of each retracted factor are formed. When the
-    long side L has L >= 128 and k <= L/16, its k singular vectors X
-    move as exp(A) X, drawn in Krylov coordinates of A from X; that has
-    the law of V exp(skew(V* G)) E_k on the full factor V, so only the
-    thin SVD is taken and no L x L matrix is formed. result.factors is
-    the thin (U1, sigma, V1) in every case.
+    Returns the generated matrix, the t = 1 point of the one-step path
+    geodesic_path walks from the same generator state. Tangents are
+    always sampled for U first and V second, regardless of the beta
+    values, so runs with the same seed share directions across different
+    beta settings. In full-rank mode only the leading k = min(m, n)
+    columns of each retracted factor are formed, and the output's
+    singular values equal the input's to within 1e-8. When the long side
+    L has L >= 128 and k <= L/16, its k singular vectors X move as
+    exp(A) X, drawn in Krylov coordinates of A from X; that has the law
+    of V exp(skew(V* G)) E_k on the full factor V, so only the thin SVD
+    is taken and no L x L matrix is formed.
 
     Raises:
         ValueError: for inputs smaller than 2 x 2, non-finite entries or
             rank >= min(m, n).
         numpy.linalg.LinAlgError: if the SVD fails to converge.
     """
-    return _Factorization(mat, cfg.rank).draw(cfg, rng)
+    return _Factorization(mat, cfg.rank).path(cfg, rng)[0]
 
 
 def stiefelgen_series(
@@ -216,7 +192,7 @@ def stiefelgen_series(
     short tail.
     """
     pm = to_page_matrix(series, m, strategy)
-    return _unpage(stiefelgen_matrix(pm.data, cfg, rng).generated, pm, cfg.smooth_len)
+    return _unpage(stiefelgen_matrix(pm.data, cfg, rng), pm, cfg.smooth_len)
 
 
 def geodesic_path(
@@ -228,21 +204,16 @@ def geodesic_path(
     """Reconstructions along one shared geodesic, at t = 0, 1/steps, ..., 1.
 
     A single (tangent_u, tangent_v) pair is sampled, so the path
-    interpolates one realization: element 0 is the input itself and
+    interpolates one realization: element 0 is a copy of the input and
     element `steps` is the one-shot stiefelgen_matrix output for the
     same generator state (bitwise when both factors go through exp_map,
-    to rounding when a factor takes the exponential's action).
+    to rounding when a factor takes the exponential's action). In rank
+    mode every element after the first carries the untouched residual
+    dyads.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if cfg.rank is not None:
-        raise ValueError("geodesic paths support full-rank mode only")
-    fac = _Factorization(mat, None)
-    u_path = fac.path(fac.u, cfg.beta_u, cfg.metric, rng, steps)
-    v_path = fac.path(fac.v, cfg.beta_v, cfg.metric, rng, steps)
-    path = [np.array(mat)]
-    path += [(u_t * fac.sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
-    return path
+    return [np.array(mat)] + _Factorization(mat, cfg.rank).path(cfg, rng, steps)
 
 
 def batch_generate(
@@ -266,7 +237,7 @@ def batch_generate(
         raise ValueError(f"count must be >= 1, got {count}")
     pm = to_page_matrix(series, m, strategy)
     fac = _Factorization(pm.data, cfg.rank)
-    rows = [_unpage(fac.draw(cfg, child).generated, pm, cfg.smooth_len).values for child in rng.spawn(count)]
+    rows = [_unpage(fac.path(cfg, child)[0], pm, cfg.smooth_len).values for child in rng.spawn(count)]
     return FunctionalEnsemble(np.vstack(rows))
 
 

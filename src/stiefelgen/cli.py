@@ -192,8 +192,7 @@ def _cmd_shm_demo(args) -> int:
     cfg = AugmentConfig(beta_u=args.beta, beta_v=args.beta, alpha=args.alpha)
     after = np.empty_like(pca.points)
     for i, child in enumerate(perturb_rng.spawn(dataset.count)):
-        result = stiefelgen_matrix(dataset.observations[i], cfg, child)
-        after[i] = pca.project(result.generated)
+        after[i] = pca.project(stiefelgen_matrix(dataset.observations[i], cfg, child))
 
     ranking = norm_change_ranking(pca.points, after)
     candidate = adversarial_candidate(ranking, args.percentile)
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
         # overflow or an invalid operation exits 1 instead of warning and going on
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (UsageError, FileNotFoundError, IsADirectoryError, PermissionError, io.CsvParseError) as exc:
+    except (UsageError, OSError, io.CsvParseError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:

@@ -109,6 +109,8 @@ def functional_boxplot(
     fence_factor times its pointwise width; outliers are the curves
     leaving the fences anywhere.
     """
+    if not (np.isfinite(fence_factor) and fence_factor >= 0.0):
+        raise ValueError(f"fence_factor must be finite and >= 0, got {fence_factor}")
     proportions = tuple(proportions)
     if not proportions:
         raise ValueError("need at least one proportion")

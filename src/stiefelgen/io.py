@@ -36,8 +36,16 @@ class CsvParseError(ValueError):
 
 
 def _parse_rows(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().replace("\r\n", "\n").split("\n")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.read().replace("\r\n", "\n").split("\n")
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call: exc.object is its bytes, exc.start an offset
+        data = exc.object
+        line = data.count(b"\n", 0, exc.start) + 1
+        column = exc.start - data.rfind(b"\n", 0, exc.start)
+        problem = f"line {line} is not UTF-8: byte 0x{data[exc.start]:02x} at column {column}"
+        raise CsvParseError(path, line, column, problem) from None
     try:
         # header heuristic: skip the first row if any cell is non-numeric
         [float(c.strip()) for c in lines[0].strip().split(",")]
@@ -114,10 +122,13 @@ def write_columns(path, columns: np.ndarray, header: str | None = None) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Write a JSON summary deterministically (sorted keys, repr floats)."""
+    """Write a JSON summary deterministically (sorted keys, repr floats).
+
+    A NaN or infinite value, which RFC 8259 JSON cannot hold, raises ValueError before the file opens.
+    """
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def complex_pairs(values: np.ndarray) -> list:

@@ -53,7 +53,8 @@ __all__ = [
 #: for m, n up to ~1000).
 ORTH_TOL = 1e-8
 
-#: Frobenius tolerance for the tangency condition delta*U + U*delta = 0.
+#: Frobenius tolerance for the tangency condition delta*U + U*delta = 0,
+#: relative to max(1, ||delta||_F).
 TANGENT_TOL = 1e-10
 
 #: Tight global lower bound on the injectivity radius of St(m, n).
@@ -155,9 +156,12 @@ class StiefelPoint:
 class TangentVector:
     """A direction delta anchored at a Stiefel point.
 
-    Validates the tangency condition delta*U + U*delta = 0 within
-    TANGENT_TOL, i.e. that X = U*delta is skew-(Hermitian); since
-    delta*U = X*, the defect is ||X + X*||_F from the one product X.
+    Validates the tangency condition delta*U + U*delta = 0, i.e. that
+    X = U*delta is skew-(Hermitian); since delta*U = X*, the defect is
+    ||X + X*||_F from the one product X. The condition is homogeneous in
+    delta and the defect's rounding grows with it, so the defect must lie
+    below TANGENT_TOL * max(1, ||delta||_F): absolute for tangents of
+    norm up to 1, relative beyond.
     """
 
     delta: np.ndarray
@@ -172,10 +176,11 @@ class TangentVector:
         delta = _freeze(delta)
         x = _conj_t(self.base.matrix) @ delta
         defect = np.linalg.norm(x + _conj_t(x))
-        # `not <` also rejects a NaN defect
-        if not defect < TANGENT_TOL:
+        # `not <` also rejects a NaN defect; the norm is taken only past the absolute bound
+        if not (defect < TANGENT_TOL or defect < TANGENT_TOL * np.linalg.norm(delta)):
             raise ValueError(
-                f"not a tangent vector: ||delta*U + U*delta||_F = {defect:.3e} >= {TANGENT_TOL:g}"
+                f"not a tangent vector: ||delta*U + U*delta||_F = {defect:.3e} "
+                f">= {TANGENT_TOL:g} * max(1, ||delta||_F)"
             )
         object.__setattr__(self, "delta", delta)
 
@@ -238,12 +243,18 @@ def inner_product(
     _check_anchor(base, d1)
     _check_anchor(base, d2)
     a, b = d1.delta, d2.delta
-    val = np.sum(a.conj() * b)
     c = metric.weight_coefficient
+    ua = ub = None
     if c != 0.0:
-        u = base.matrix
-        ua = _conj_t(u) @ a
-        ub = ua if d2 is d1 else _conj_t(u) @ b
+        ua = _conj_t(base.matrix) @ a
+        ub = ua if d2 is d1 else _conj_t(base.matrix) @ b
+    return _weighted_inner(a, b, c, ua, ub)
+
+
+def _weighted_inner(a: np.ndarray, b: np.ndarray, c: float, ua, ub) -> float:
+    """Re tr(a* (I - c UU*) b) from the products ua = U*a and ub = U*b, which c = 0 leaves unread."""
+    val = np.sum(a.conj() * b)
+    if c != 0.0:
         val -= c * np.sum(ua.conj() * ub)
     return float(np.real(val))
 
@@ -571,7 +582,10 @@ def exp_map(
     if not np.any(delta):
         return base
 
-    norm = tangent_norm(base, d, metric)
+    alpha = metric.alpha
+    a_skew = _conj_t(u) @ delta
+    # the metric norm from the one product a_skew, as tangent_norm takes it
+    norm = np.sqrt(max(_weighted_inner(delta, delta, metric.weight_coefficient, a_skew, a_skew), 0.0))
     if norm > INJECTIVITY_RADIUS * (1.0 + 1e-9):
         warnings.warn(
             f"tangent norm {norm:.4f} exceeds the injectivity radius "
@@ -580,8 +594,6 @@ def exp_map(
             stacklevel=2,
         )
 
-    alpha = metric.alpha
-    a_skew = _conj_t(u) @ delta
     mu = alpha / (alpha + 1.0)
 
     if m == n:

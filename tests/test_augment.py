@@ -44,18 +44,29 @@ def sine_matrix(m=24, n=16):
     return np.sin(t).reshape(m, n) + 1.5
 
 
+def input_factors(mat, thin=False):
+    """The input's (U1, sigma, V1), k = min(m, n) columns per side, from the SVD the program takes.
+
+    Action pages take the thin SVD, every other page the full one; the leading columns of the
+    two may differ in rounding, so a bitwise replay must pick the same one.
+    """
+    u1, s, v1h = np.linalg.svd(mat, full_matrices=not thin)
+    k = s.shape[0]
+    return u1[:, :k], s, v1h.conj().T[:, :k]
+
+
 class TestStiefelgenMatrix:
     def test_beta_zero_is_identity(self, rng):
         mat = sine_matrix()
         out = stiefelgen_matrix(mat, AugmentConfig(), rng)
-        assert np.abs(out.generated - mat).max() < 1e-10
+        assert np.abs(out - mat).max() < 1e-10
 
     @pytest.mark.parametrize("shape", [(6, 4), (10, 10), (4, 9)])
     def test_singular_values_preserved(self, shape, rng):
         mat = np.random.default_rng(7).standard_normal(shape)
         cfg = AugmentConfig(beta_u=0.7, beta_v=0.4)
         out = stiefelgen_matrix(mat, cfg, rng)
-        got = np.linalg.svd(out.generated, compute_uv=False)
+        got = np.linalg.svd(out, compute_uv=False)
         want = np.linalg.svd(mat, compute_uv=False)
         assert np.abs(np.sort(got) - np.sort(want)).max() < 1e-8
 
@@ -63,7 +74,7 @@ class TestStiefelgenMatrix:
         r = np.random.default_rng(8)
         mat = r.standard_normal((7, 5)) + 1j * r.standard_normal((7, 5))
         out = stiefelgen_matrix(mat, AugmentConfig(beta_u=0.5, beta_v=0.5), rng)
-        got = np.linalg.svd(out.generated, compute_uv=False)
+        got = np.linalg.svd(out, compute_uv=False)
         want = np.linalg.svd(mat, compute_uv=False)
         assert np.abs(got - want).max() < 1e-8
 
@@ -72,7 +83,7 @@ class TestStiefelgenMatrix:
         cfg = AugmentConfig(beta_u=0.4, beta_v=0.0)
         replay_rng = copy.deepcopy(rng)
         out = stiefelgen_matrix(mat, cfg, rng)
-        u1, s, v1 = out.factors
+        u1, s, v1 = input_factors(mat)
         k = s.shape[0]
         # the V direction collapsed to zero, so the reconstruction uses V1
         # bitwise: replaying the U retraction reproduces it exactly
@@ -80,9 +91,9 @@ class TestStiefelgenMatrix:
         assert not np.any(dv.delta)
         u2 = exp_map(u_pt, du).matrix
         want = (u2[:, :k] * s) @ v1[:, :k].T
-        assert np.array_equal(out.generated, want)
+        assert np.array_equal(out, want)
         # V-basis quantities are untouched up to rounding
-        assert np.abs(out.generated.T @ out.generated - mat.T @ mat).max() < 1e-8
+        assert np.abs(out.T @ out - mat.T @ mat).max() < 1e-8
 
     def test_v_only_leaves_u_untouched(self, rng):
         mat = sine_matrix()
@@ -91,7 +102,7 @@ class TestStiefelgenMatrix:
         out = stiefelgen_matrix(mat, cfg, rng)
         (_, du), _ = public_replay(mat, cfg, replay_rng)
         assert not np.any(du.delta)
-        assert np.abs(out.generated @ out.generated.T - mat @ mat.T).max() < 1e-8
+        assert np.abs(out @ out.T - mat @ mat.T).max() < 1e-8
 
     def test_zero_beta_factor_is_bitwise_base(self, rng):
         # the V direction collapses to zero, the retraction short-circuits
@@ -99,31 +110,31 @@ class TestStiefelgenMatrix:
         cfg = AugmentConfig(beta_u=0.3, beta_v=0.0)
         replay_rng = copy.deepcopy(rng)
         out = stiefelgen_matrix(mat, cfg, rng)
-        u1, s, v1 = out.factors
+        u1, s, v1 = input_factors(mat)
         k = s.shape[0]
         (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
         assert not np.any(dv.delta)
         assert exp_map(v_pt, dv) is v_pt
         u2 = exp_map(u_pt, du).matrix
-        assert np.array_equal(out.generated, (u2[:, :k] * s) @ v1[:, :k].T)
+        assert np.array_equal(out, (u2[:, :k] * s) @ v1[:, :k].T)
 
     def test_deterministic(self):
         mat = sine_matrix()
         cfg = AugmentConfig(beta_u=0.6, beta_v=0.6)
-        a = stiefelgen_matrix(mat, cfg, np.random.default_rng(5)).generated
-        b = stiefelgen_matrix(mat, cfg, np.random.default_rng(5)).generated
+        a = stiefelgen_matrix(mat, cfg, np.random.default_rng(5))
+        b = stiefelgen_matrix(mat, cfg, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_rank_mode_keeps_residual_dyads(self, rng):
         mat = sine_matrix(12, 8)
         cfg = AugmentConfig(beta_u=0.5, beta_v=0.5, rank=2)
         out = stiefelgen_matrix(mat, cfg, rng)
-        u1, s, v1 = out.factors
+        u1, s, v1 = input_factors(mat)
         k = s.shape[0]
         residual_in = (u1[:, 2:k] * s[2:]) @ v1[:, 2:k].T
         # subtracting the perturbed leading part must recover the
         # untouched tail exactly
-        perturbed_lead = out.generated - residual_in
+        perturbed_lead = out - residual_in
         # the perturbed leading part has the leading singular values
         got = np.linalg.svd(perturbed_lead, compute_uv=False)
         assert np.abs(got[:2] - s[:2]).max() < 1e-8
@@ -164,11 +175,9 @@ class TestSeedingAcrossBeta:
             rng = np.random.default_rng(19)
             stiefelgen_matrix(mat, cfg, rng)
             states.append(rng.bit_generator.state)
-            if rank is None:
-                # geodesic paths have no rank mode
-                rng = np.random.default_rng(19)
-                geodesic_path(mat, cfg, 4, rng)
-                states.append(rng.bit_generator.state)
+            rng = np.random.default_rng(19)
+            geodesic_path(mat, cfg, 4, rng)
+            states.append(rng.bit_generator.state)
         assert all(state == states[0] for state in states)
 
     def test_zero_beta_action_block_is_bitwise(self):
@@ -176,11 +185,11 @@ class TestSeedingAcrossBeta:
         fac = augment._Factorization(mat, None)
         assert fac.v.shape == (300, 5)
         for steps in (1, 4):
-            points = fac.path(fac.v, 0.0, CANONICAL, np.random.default_rng(20), steps)
+            points = augment._factor_path(fac.v, 0.0, CANONICAL, np.random.default_rng(20), fac.cols, steps)
             assert len(points) == steps and all(np.array_equal(point, fac.v) for point in points)
         out = stiefelgen_matrix(mat, AugmentConfig(), np.random.default_rng(20))
-        u1, s, v1 = out.factors
-        assert np.array_equal(out.generated, (u1 * s) @ v1.conj().T)
+        u1, s, v1 = input_factors(mat, thin=True)
+        assert np.array_equal(out, (u1 * s) @ v1.conj().T)
 
 
 class TestStiefelgenSeries:
@@ -253,7 +262,7 @@ class TestGeodesicPath:
         cfg = AugmentConfig(beta_u=0.8, beta_v=0.8)
         path = geodesic_path(mat, cfg, 10, np.random.default_rng(9))
         one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(9))
-        assert np.abs(path[-1] - one_shot.generated).max() < 1e-10
+        assert np.abs(path[-1] - one_shot).max() < 1e-10
 
     def test_singular_values_along_path(self, rng):
         mat = sine_matrix()
@@ -275,7 +284,7 @@ class TestGeodesicPath:
         mat = np.random.default_rng(22).standard_normal((5, 300))
         cfg = AugmentConfig(beta_u=1.0, beta_v=1.0)
         want = np.linalg.svd(mat, compute_uv=False)
-        one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(23)).generated
+        one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(23))
         assert np.abs(np.linalg.svd(one_shot, compute_uv=False) - want).max() < 1e-8
         path = geodesic_path(mat, cfg, 20, np.random.default_rng(23))
         assert len(path) == 21 and np.array_equal(path[0], mat)
@@ -290,7 +299,18 @@ class TestGeodesicPath:
         cfg = AugmentConfig(beta_u=0.8, beta_v=0.8)
         path = geodesic_path(mat, cfg, 10, np.random.default_rng(9))
         one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(9))
-        assert np.array_equal(path[-1], one_shot.generated)
+        assert np.array_equal(path[-1], one_shot)
+
+    def test_rank_mode_path_ends_on_the_one_shot_draw_bitwise(self):
+        # both moved factors are thin 24 x 3 and 16 x 3 points; every step adds the untouched tail
+        mat = sine_matrix()
+        cfg = AugmentConfig(beta_u=0.8, beta_v=0.6, rank=3)
+        path = geodesic_path(mat, cfg, 10, np.random.default_rng(9))
+        one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(9))
+        assert len(path) == 11
+        assert np.array_equal(path[0], mat)
+        assert np.array_equal(path[-1], one_shot)
+        assert not np.array_equal(path[5], mat)
 
     def test_rejects_zero_steps(self, rng):
         with pytest.raises(ValueError, match="steps"):
@@ -343,15 +363,17 @@ class TestWidePageSkewDraw:
         cfg = AugmentConfig(beta_u=0.7, beta_v=1.0, alpha=alpha)
         rng, replay_rng = np.random.default_rng(41), np.random.default_rng(41)
         out = stiefelgen_matrix(mat, cfg, rng)
-        assert [f.shape for f in (out.factors[0], out.factors[2])] == [(5, 5), (300, 5)]
-        (u_pt, du), (v_pt, dv) = ambient_replay(out.factors, cfg, replay_rng)
+        factors = input_factors(mat, thin=True)
+        fac = augment._Factorization(mat, None)
+        assert [f.shape for f in (fac.u.matrix, fac.v)] == [(5, 5), (300, 5)]
+        (u_pt, du), (v_pt, dv) = ambient_replay(factors, cfg, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert abs(tangent_norm(v_pt, dv, cfg.metric) - INJECTIVITY_RADIUS) < 1e-12
         u2 = exp_map(u_pt, du, cfg.metric).matrix
         v2 = exp_map(v_pt, dv, cfg.metric).matrix[:, :5]
-        assert np.abs(out.generated - (u2 * out.factors[1]) @ v2.conj().T).max() < 1e-12
+        assert np.abs(out - (u2 * factors[1]) @ v2.conj().T).max() < 1e-12
         want = np.linalg.svd(mat, compute_uv=False)
-        assert np.abs(np.linalg.svd(out.generated, compute_uv=False) - want).max() < 1e-8
+        assert np.abs(np.linalg.svd(out, compute_uv=False) - want).max() < 1e-8
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("alpha", [0.0, -0.5, -0.25])
@@ -361,7 +383,7 @@ class TestWidePageSkewDraw:
         cfg = AugmentConfig(beta_u=0.9, beta_v=0.6, alpha=alpha)
         rng, replay_rng = np.random.default_rng(43), np.random.default_rng(43)
         path = geodesic_path(mat, cfg, steps, rng)
-        factors = augment._Factorization(mat, None).factors
+        factors = input_factors(mat, thin=True)
         (u_pt, du), (v_pt, dv) = ambient_replay(factors, cfg, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         for step in sorted({steps // 2, steps} - {0}):
@@ -374,11 +396,12 @@ class TestWidePageSkewDraw:
         cfg = AugmentConfig(beta_u=0.5, beta_v=0.0)
         rng, replay_rng = np.random.default_rng(47), np.random.default_rng(47)
         out = stiefelgen_matrix(mat, cfg, rng)
-        (u_pt, du), (_, dv) = ambient_replay(out.factors, cfg, replay_rng)
+        u1, s, v1 = input_factors(mat, thin=True)
+        (u_pt, du), (_, dv) = ambient_replay((u1, s, v1), cfg, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert not np.any(dv.delta)
         u2 = exp_map(u_pt, du).matrix
-        assert np.array_equal(out.generated, (u2 * out.factors[1]) @ out.factors[2].conj().T)
+        assert np.array_equal(out, (u2 * s) @ v1.conj().T)
 
 
 class TestAmbientDrawLaw:
@@ -427,7 +450,7 @@ class TestAmbientDrawLaw:
             for i in range(self.DRAWS):
                 d = normalize_and_scale(v_pt, random_tangent(v_pt, old_rng), cfg.beta_v, cfg.metric)
                 old[:, i] = stats(exp_map(v_pt, d, cfg.metric).matrix[:, :4])
-                generated = stiefelgen_matrix(mat, cfg, new_rng).generated
+                generated = stiefelgen_matrix(mat, cfg, new_rng)
                 new[:, i] = stats(np.linalg.solve(u1 * s, generated).conj().T)
             for old_stat, new_stat in zip(old, new):
                 assert scipy.stats.ks_2samp(old_stat, new_stat).pvalue > 1e-3, (complex_field, alpha)

@@ -108,6 +108,20 @@ class TestIo:
         with pytest.raises(io.CsvParseError, match="line 3"):
             io.read_series(path)
 
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"a,b\r\n1,2\r\n\xff,4\r\n")
+        with pytest.raises(io.CsvParseError, match="line 3 is not UTF-8") as info:
+            io.read_columns(path)
+        assert (info.value.line, info.value.column) == (3, 1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_json_refuses_non_finite_values_before_writing(self, tmp_path, value):
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            io.write_json(path, {"ok": 1.0, "bad": [0.5, value]})
+        assert not path.exists()
+
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(csv_text())
     @example("a,b\n1_0, 1e5 \r\n\n-nan,-inf\n")
@@ -191,6 +205,29 @@ class TestAugmentCommand:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].endswith("line 3 has 1 cell(s), expected 2")
+
+    @pytest.mark.parametrize("side", ["--in", "--out"])
+    def test_path_through_a_file_is_usage_error(self, tmp_path, signal_csv, side, capsys):
+        # a path whose parent is a file raises NotADirectoryError, an OSError like the missing file
+        inp, _ = signal_csv
+        paths = {"--in": str(inp), "--out": str(tmp_path / "o.csv")}
+        paths[side] = str(inp / "x.csv")
+        code = main(["augment", "--in", paths["--in"], "--out", paths["--out"], "--rows", "20"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Not a directory" in err[0] and "Traceback" not in err[0]
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_non_utf8_input_is_usage_error(self, tmp_path, capsys):
+        inp = tmp_path / "latin1.csv"
+        inp.write_bytes(b"1.0\n2.0\n3.\xe95\n4.0\n")
+        out = tmp_path / "o.csv"
+        code = main(["augment", "--in", str(inp), "--out", str(out), "--rows", "2"])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Traceback" not in err[0]
+        assert err[0].endswith(f"{inp}: line 3 is not UTF-8: byte 0xe9 at column 3")
+        assert not out.exists()
 
     def test_domain_error_exit_code(self, tmp_path, signal_csv):
         inp, _ = signal_csv
@@ -320,6 +357,17 @@ class TestOtherCommands:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--proportions" in err[0]
+
+    @pytest.mark.parametrize("fence", ["nan", "-5", "inf"])
+    def test_fboxplot_bad_fence_is_domain_error(self, tmp_path, fence, capsys):
+        inp = tmp_path / "curves.csv"
+        io.write_columns(inp, np.random.default_rng(0).standard_normal((40, 5)))
+        out = tmp_path / "box.json"
+        code = main(["fboxplot", "--in", str(inp), "--out", str(out), f"--fence={fence}"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "fence_factor must be finite and >= 0" in err[0]
+        assert not out.exists()
 
     def test_fboxplot_summary(self, tmp_path, rng):
         curves = np.sin(np.linspace(0, 5, 40)) + 0.1 * rng.standard_normal((9, 40))

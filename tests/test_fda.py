@@ -146,3 +146,15 @@ class TestFunctionalBoxplot:
         ens = FunctionalEnsemble(rng.standard_normal((5, 5)))
         with pytest.raises(ValueError, match="proportions"):
             functional_boxplot(ens, proportions=(0.0,))
+
+    @pytest.mark.parametrize("fence", [np.nan, np.inf, -np.inf, -5.0, -1e-12])
+    def test_rejects_non_finite_or_negative_fence(self, rng, fence):
+        ens = FunctionalEnsemble(rng.standard_normal((5, 5)))
+        with pytest.raises(ValueError, match="fence_factor must be finite and >= 0"):
+            functional_boxplot(ens, fence_factor=fence)
+
+    def test_zero_fence_is_the_fifty_percent_envelope(self, rng):
+        ens = FunctionalEnsemble(rng.standard_normal((9, 12)))
+        box = functional_boxplot(ens, fence_factor=0.0)
+        lo, hi = box.central_envelopes[0.5]
+        assert np.array_equal(box.fences[0], lo) and np.array_equal(box.fences[1], hi)

@@ -101,6 +101,40 @@ class TestProjectToTangent:
         pt = random_stiefel(6, 4, rng)
         assert np.abs(project_to_tangent(pt, pt.matrix).delta).max() < 1e-14
 
+    # the rounding defect of a projection grows with the ambient's norm: 3.9e-9 for 1e5 * G on 50 x 50
+    @pytest.mark.parametrize("scale", [1e3, 1e4, 1e5, 1e6, 1e7, 1e8])
+    @pytest.mark.parametrize("m, n, complex_field", [(50, 50, False), (60, 7, False), (40, 40, True)])
+    def test_projection_passes_at_large_scale(self, scale, m, n, complex_field):
+        rng = np.random.default_rng(m + n)
+        pt = random_stiefel(m, n, rng, complex_field)
+        g = rng.standard_normal((m, n))
+        if complex_field:
+            g = g + 1j * rng.standard_normal((m, n))
+        d = project_to_tangent(pt, scale * g)
+        x = pt.matrix.conj().T @ d.delta
+        assert np.linalg.norm(x + x.conj().T) < 1e-10 * np.linalg.norm(d.delta)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e5, 1e8])
+    @pytest.mark.parametrize("m, n", [(50, 50), (60, 7)])
+    def test_symmetric_direction_rejected_at_every_scale(self, scale, m, n):
+        # U S with S symmetric is normal to the tangent space: its defect is 2 ||U S||_F
+        rng = np.random.default_rng(m * n)
+        pt = random_stiefel(m, n, rng)
+        s = rng.standard_normal((n, n))
+        with pytest.raises(ValueError, match="not a tangent vector"):
+            TangentVector(scale * pt.matrix @ (s + s.T), pt)
+
+    def test_defect_bound_is_absolute_up_to_unit_norm(self):
+        # one normal defect of 1.5e-10 on a tangent of norm 0.5 and of norm 100
+        rng = np.random.default_rng(8)
+        pt = random_stiefel(9, 4, rng)
+        d = random_tangent(pt, rng).delta
+        d = d / np.linalg.norm(d)
+        normal = pt.matrix @ np.eye(4) * (1.5e-10 / 4.0)
+        with pytest.raises(ValueError, match="not a tangent vector"):
+            TangentVector(0.5 * d + normal, pt)
+        TangentVector(100.0 * d + normal, pt)
+
     def test_tangency_condition(self):
         rng = np.random.default_rng(7)
         pt = random_stiefel(6, 3, rng)
