@@ -206,10 +206,8 @@ def geodesic_path(
     A single (tangent_u, tangent_v) pair is sampled, so the path
     interpolates one realization: element 0 is a copy of the input and
     element `steps` is the one-shot stiefelgen_matrix output for the
-    same generator state (bitwise when both factors go through exp_map,
-    to rounding when a factor takes the exponential's action). In rank
-    mode every element after the first carries the untouched residual
-    dyads.
+    same generator state, bitwise on every route. In rank mode every
+    element after the first carries the untouched residual dyads.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")

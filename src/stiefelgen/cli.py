@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -331,16 +332,26 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    outputs = [p for p in (vars(args).get(n) for n in ("out", "forecast_out", "points_out")) if p]
+    created = [p for p in outputs if not os.path.lexists(p)]
+    status = 1
     try:
+        # appending truncates nothing: a path that cannot be written fails the run before any is written
+        for path in outputs:
+            open(path, "a").close()
         # overflow or an invalid operation exits 1 instead of warning and going on
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            status = args.func(args)
     except (UsageError, OSError, io.CsvParseError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return 2
+        status = 2
     except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return 1
+    finally:
+        if status:  # a failed run leaves none of the output files it created
+            for path in filter(os.path.lexists, created):
+                os.remove(path)
+    return status
 
 
 if __name__ == "__main__":

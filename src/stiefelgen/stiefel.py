@@ -368,15 +368,14 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
     return e
 
 
-#: The exponential's action pays off only for few columns of a large
-#: factor. With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6,
-#: beta = 1 canonical draws), one action draw (_action_columns on 1, m/16 or
-#: m/8 columns) took this share of the time of the dense draw
-#: (random_tangent, normalize_and_scale, geodesic) at one time point:
-#: 2.6-2.9x at m = 32, 1.1-1.6x at m = 64, 0.2-0.7x at m = 128 and
-#: 0.02-0.4x at m = 450. Along a 20-step path it took 0.75x at m = 32,
-#: 0.3-0.4x at m = 64 and 0.04-0.11x from m = 128 on. For single draws the
-#: crossover thus sits between m = 64 and 128, below the cut kept here.
+#: The exponential's action pays off only for few columns of a large factor.
+#: With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6, beta = 1
+#: canonical draws), _action_columns on 1, m/16 or m/8 columns took this share
+#: of the dense draw's time (random_tangent, normalize_and_scale, geodesic): one
+#: step 1.0-2.5x at m = 32 and 64, 0.2x (1 column) to 1.3x (m/16) at m = 128 and
+#: 0.01-0.8x at m = 450; 20 steps 0.8-1.1x, 0.2-1.0x, 0.04-0.6x and 0.003-0.8x.
+#: From m/16 columns on, the kept corner is (nearly) the whole generator, whose
+#: matrix_exp costs what the dense one does; 5 of 450 columns keep 70 x 70.
 _ACTION_MIN_DIM = 128
 _ACTION_COL_RATIO = 16
 
@@ -386,56 +385,15 @@ def _takes_action(dim: int, cols: int) -> bool:
 
     True only for dim >= 128 and cols <= dim/16. Such a factor is held as
     those columns X and moved by _action_columns, which draws exp(t A) X
-    in Krylov coordinates from X, with no dim x dim array; every other
-    factor goes through exp_map's dense exponential.
+    in Krylov coordinates from X and exponentiates only their kept corner;
+    every other factor goes through exp_map's dense exponential.
     """
     return dim >= _ACTION_MIN_DIM and _ACTION_COL_RATIO * cols <= dim
 
 
-#: Float64 unit roundoff, where the Taylor action stops, and its cap on terms per
-#: substep: for a generator of 2-norm r the j-th term is at most r^j / j! of the
-#: block, below unit roundoff by j = 33 even at r = 3 sqrt(2).
+#: Float64 unit roundoff: _krylov_coordinates keeps Krylov blocks until the
+#: bound on the neglected tail of exp(t T) E_k falls below it.
 _UNIT_ROUNDOFF = 2.0**-53
-_TAYLOR_TERMS = 60
-#: Largest 2-norm bound of one substep's generator. A larger one means fewer substeps
-#: but more terms each; cancellation in a series on a generator of 2-norm r costs at
-#: most e^r unit roundoffs.
-_TAYLOR_RADIUS = 3.0
-
-
-def _geodesic_columns(x: np.ndarray, a: np.ndarray, steps: int = 1) -> list:
-    """exp(t A) X for a skew(-Hermitian) L x L generator A and an L x k block X.
-
-    Returns one L x k array per t = 1/steps, 2/steps, ..., 1. When X is
-    the leading columns of a square factor V, exp(t A) X is the leading
-    columns of V exp(t V* A V), exp_map's square route for the tangent
-    V (V* A V), without V or its trailing columns. Each step applies
-    exp(A/steps) to the block through truncated Taylor series, so only
-    L x L by L x k products are formed (the action of the exponential,
-    Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 2011, with a norm bound
-    in place of their estimator). A step is split into substeps whose
-    generator's 2-norm stays within _TAYLOR_RADIUS, and each series
-    stops once a term falls below unit roundoff relative to the sum.
-    """
-    if not np.any(a):
-        return [x] * steps
-    # ||A||_F / sqrt(2) bounds ||A||_2 of a real skew A, whose eigenvalues pair as +-i lambda;
-    # a complex one may reach sqrt(2) times that, which only costs a few more terms
-    sub = int(np.ceil(np.linalg.norm(a) / np.sqrt(2.0) / (steps * _TAYLOR_RADIUS)))
-    h = a / (steps * sub)
-    block = x.astype(np.result_type(x, a))
-    out = []
-    for _ in range(steps):
-        for _ in range(sub):
-            term = block
-            for j in range(1, _TAYLOR_TERMS + 1):
-                term = h @ term
-                term *= 1.0 / j
-                block += term
-                if np.linalg.norm(term) <= _UNIT_ROUNDOFF * np.linalg.norm(block):
-                    break
-        out.append(block.copy())
-    return out
 
 
 def _krylov_coordinates(
@@ -537,9 +495,10 @@ def _action_columns(
     reduction's invariance the frame W past X is Haar in the complement of
     X and independent of T. So only T and the columns of W that the kept
     blocks reach are drawn (_haar_complement), and X c1 + W c2 is returned
-    for [c1; c2] = exp(t T_d) E_k on the kept corner T_d. No L x L array is
-    formed. The stream advances the same for every beta; at beta = 0 X
-    itself comes back.
+    for [c1; c2] = exp(t T_d) E_k, one matrix_exp of t T_d on the kept
+    corner per t as in geodesic, so t = 1 is bitwise the one-step draw.
+    Unless every block is kept, no L x L array is formed. The stream
+    advances the same for every beta; at beta = 0 X itself comes back.
     """
     dim, k = x.shape
     diag, sub, blocks = _krylov_coordinates(dim, k, np.iscomplexobj(x), beta, metric, rng)
@@ -548,7 +507,7 @@ def _action_columns(
     if beta == 0.0:
         return [x] * steps
     t = _block_tridiagonal(diag[:blocks], sub, size)
-    cols = _geodesic_columns(np.eye(size, k, dtype=t.dtype), t, steps)
+    cols = [matrix_exp(step / steps * t)[:, :k] for step in range(1, steps + 1)]
     return [x @ c[:k] + w @ c[k:] for c in cols]
 
 

@@ -272,26 +272,33 @@ class TestGeodesicPath:
             assert np.abs(got - want).max() < 1e-8
 
     def test_wide_page_takes_action_route(self, monkeypatch):
-        # a 5 x 300 page: V is 300 x 300 of which 5 columns are used, so
-        # only the 5 x 5 U factor reaches the dense exponential
+        # a 5 x 300 page: V is 300 x 300 of which 5 columns are used, so only the 5 x 5 U factor
+        # and the kept Krylov corner of V's generator reach the exponential, never a 300 x 300 one
         exp_shapes = []
+        kernel = stiefel.matrix_exp
 
         def recording_exp(s):
             exp_shapes.append(s.shape)
-            return scipy.linalg.expm(s)
+            return kernel(s)
 
         monkeypatch.setattr(stiefel, "matrix_exp", recording_exp)
-        mat = np.random.default_rng(22).standard_normal((5, 300))
         cfg = AugmentConfig(beta_u=1.0, beta_v=1.0)
-        want = np.linalg.svd(mat, compute_uv=False)
-        one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(23))
-        assert np.abs(np.linalg.svd(one_shot, compute_uv=False) - want).max() < 1e-8
-        path = geodesic_path(mat, cfg, 20, np.random.default_rng(23))
-        assert len(path) == 21 and np.array_equal(path[0], mat)
-        for step in path[1:]:
-            assert np.abs(np.linalg.svd(step, compute_uv=False) - want).max() < 1e-8
-        assert np.abs(path[-1] - one_shot).max() < 1e-10
-        assert exp_shapes and set(exp_shapes) == {(5, 5)}
+        # the real and the complex page
+        for complex_field in (False, True):
+            exp_shapes.clear()
+            mat = wide_page(complex_field)
+            want = np.linalg.svd(mat, compute_uv=False)
+            one_shot = stiefelgen_matrix(mat, cfg, np.random.default_rng(23))
+            assert np.abs(np.linalg.svd(one_shot, compute_uv=False) - want).max() < 1e-8
+            path = geodesic_path(mat, cfg, 20, np.random.default_rng(23))
+            assert len(path) == 21 and np.array_equal(path[0], mat)
+            for step in path[1:]:
+                assert np.abs(np.linalg.svd(step, compute_uv=False) - want).max() < 1e-8
+            assert np.array_equal(path[-1], one_shot)
+            corners = set(exp_shapes) - {(5, 5)}
+            assert (5, 5) in exp_shapes and len(corners) == 1
+            ((side, width),) = corners
+            assert side == width and 5 < side < 300
 
     def test_dense_page_path_endpoint_is_one_shot_bitwise(self):
         # both factors of a 24 x 16 page stay on the dense exponential

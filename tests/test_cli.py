@@ -347,6 +347,25 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "zero eigenvalue" in err[0]
 
+    @pytest.mark.parametrize(
+        "argv, second",
+        [(["dmd-fit", "--fixture", "waves", "--rank", "2"], "--forecast-out"),
+         (["shm-demo", "--steps", "2"], "--points-out")],
+    )
+    def test_bad_second_output_leaves_no_first_output(self, tmp_path, argv, second, capsys):
+        blocker = tmp_path / "s.csv"
+        blocker.write_text("1\n")
+        first = tmp_path / "first.json"
+        argv = [*argv, "--out", str(first), second, str(blocker / "x.csv")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Not a directory" in err[0] and "Traceback" not in err[0]
+        assert not first.exists()
+        # a first output that was there before the run keeps its bytes
+        first.write_text("kept\n")
+        assert main(argv) == 2
+        assert first.read_text() == "kept\n"
+
     def test_fboxplot_bad_proportions_is_usage_error(self, tmp_path, capsys):
         inp = tmp_path / "curves.csv"
         io.write_columns(inp, np.random.default_rng(0).standard_normal((40, 5)))
