@@ -225,18 +225,20 @@ def batch_generate(
     """Ensemble of independent draws, one row per generated signal.
 
     The series is paged and factored once; each draw then only perturbs,
-    reconstructs, reshapes and smooths. Row k equals stiefelgen_series
-    on the k-th of the `count` child generators spawned from rng, so a
-    fresh default_rng(seed) gives the same ensemble every time. The
-    same Generator passed a second time spawns new children, and so a
-    different ensemble.
+    reconstructs, reshapes and smooths, straight into its row of the
+    output. Row k equals stiefelgen_series on the k-th of the `count`
+    child generators spawned from rng, so a fresh default_rng(seed)
+    gives the same ensemble every time. The same Generator passed a
+    second time spawns new children, and so a different ensemble.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     pm = to_page_matrix(series, m, strategy)
     fac = _Factorization(pm.data, cfg.rank)
-    rows = [_unpage(fac.path(cfg, child)[0], pm, cfg.smooth_len).values for child in rng.spawn(count)]
-    return FunctionalEnsemble(np.vstack(rows))
+    out = np.empty((count, min(pm.data.size, pm.original_length)))  # the length from_page_matrix returns
+    for row, child in enumerate(rng.spawn(count)):
+        out[row] = _unpage(fac.path(cfg, child)[0], pm, cfg.smooth_len).values
+    return FunctionalEnsemble(out)
 
 
 def ambient_perturb(

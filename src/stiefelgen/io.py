@@ -3,12 +3,14 @@
 CSV holds all numeric data: one column for a univariate series, columns
 as series (rows as time) for multivariate data and ensembles. Values
 are written with 17 significant digits so doubles round-trip exactly;
-readers accept an optional header row, comma separators, and LF or
-CRLF endings. JSON carries model summaries.
+readers accept a leading BOM, an optional header row, comma separators
+and LF or CRLF endings, decoding one line at a time, so a read holds the
+parsed array, not the file's text. JSON carries model summaries.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -35,55 +37,60 @@ class CsvParseError(ValueError):
         super().__init__(f"{path}: {problem}")
 
 
-def _parse_rows(path) -> np.ndarray:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            lines = fh.read().replace("\r\n", "\n").split("\n")
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file in one call: exc.object is its bytes, exc.start an offset
-        data = exc.object
-        line = data.count(b"\n", 0, exc.start) + 1
-        column = exc.start - data.rfind(b"\n", 0, exc.start)
-        problem = f"line {line} is not UTF-8: byte 0x{data[exc.start]:02x} at column {column}"
-        raise CsvParseError(path, line, column, problem) from None
-    try:
-        # header heuristic: skip the first row if any cell is non-numeric
-        [float(c.strip()) for c in lines[0].strip().split(",")]
-        first = 1
-    except ValueError:
-        first = 2
-    body = [line for line in lines[first - 1:] if line.strip()]
-    if body:
-        # loadtxt accepts a subset of what float() does and parses it to the same doubles
+def _decoded(path, fh):
+    """The lines of a binary file, decoded one at a time: split on LF only, with line 1's BOM dropped."""
+    for line_no, raw in enumerate(fh, start=1):
         try:
-            return np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+            yield raw.decode("utf-8-sig" if line_no == 1 else "utf-8")
+        except UnicodeDecodeError as exc:
+            problem = f"line {line_no} is not UTF-8: byte 0x{exc.object[exc.start]:02x} at column {exc.start + 1}"
+            raise CsvParseError(path, line_no, exc.start + 1, problem) from None
+
+
+def _parse_rows(path) -> np.ndarray:
+    with open(path, "rb") as fh:
+        lines = _decoded(path, fh)
+        head = next(lines, "")
+        rows = (line for line in lines if line.strip())
+        try:
+            # header heuristic: skip the first row if any cell is non-numeric
+            [float(c.strip()) for c in head.strip().split(",")]
+            first = 1
         except ValueError:
-            pass  # the per-cell parse names the line and column at fault
-    return _parse_cells(path, lines, first)
+            first, head = 2, next(rows, None)
+        # loadtxt accepts a subset of what float() does and parses it to the same doubles;
+        # it is never handed an empty input, on which it warns
+        if head is not None:
+            try:
+                return np.loadtxt(itertools.chain([head], rows), delimiter=",", comments=None, ndmin=2)
+            except ValueError:
+                pass  # the per-cell parse names the line and column at fault
+    return _parse_cells(path, first)
 
 
-def _parse_cells(path, lines: list, first: int) -> np.ndarray:
+def _parse_cells(path, first: int) -> np.ndarray:
     """Rows from line `first` (1-based) on, one float() per cell; blank lines are skipped."""
     rows = []
     width = None
-    for line_no, raw in enumerate(lines[first - 1:], start=first):
-        line = raw.strip()
-        if not line:
-            continue
-        cells = [c.strip() for c in line.split(",")]
-        if width is None:
-            width = len(cells)
-        if len(cells) != width:
-            problem = f"line {line_no} has {len(cells)} cell(s), expected {width}"
-            raise CsvParseError(path, line_no, min(len(cells), width) + 1, problem)
-        parsed = []
-        for col_no, cell in enumerate(cells, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                problem = f"non-numeric cell {cell!r} at line {line_no}, column {col_no}"
-                raise CsvParseError(path, line_no, col_no, problem) from None
-        rows.append(parsed)
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(_decoded(path, fh), start=1):
+            line = raw.strip()
+            if line_no < first or not line:
+                continue
+            cells = [c.strip() for c in line.split(",")]
+            if width is None:
+                width = len(cells)
+            if len(cells) != width:
+                problem = f"line {line_no} has {len(cells)} cell(s), expected {width}"
+                raise CsvParseError(path, line_no, min(len(cells), width) + 1, problem)
+            parsed = []
+            for col_no, cell in enumerate(cells, start=1):
+                try:
+                    parsed.append(float(cell))
+                except ValueError:
+                    problem = f"non-numeric cell {cell!r} at line {line_no}, column {col_no}"
+                    raise CsvParseError(path, line_no, col_no, problem) from None
+            rows.append(parsed)
     if not rows:
         raise CsvParseError(path, 1, 1, "no numeric rows")
     return np.asarray(rows, dtype=np.float64)

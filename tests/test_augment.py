@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,6 +539,28 @@ class TestBatchGenerate:
         for k, seq in enumerate(streams):
             direct = stiefelgen_series(series, 20, cfg, np.random.default_rng(seq))
             assert np.array_equal(ens.curves[k], direct.values)
+
+    @pytest.mark.parametrize("strategy", ["pad_edge", "overlap", "truncate"])
+    @pytest.mark.parametrize("length", [395, 409])
+    def test_rows_have_the_unpaged_length(self, strategy, length):
+        # round(length / 20) = 20 columns: 395 samples leave 5 slots to fit by strategy, 409 a tail to drop
+        series = steam_like(length)
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3, smooth_len=3)
+        ens = batch_generate(series, 2, 20, cfg, np.random.default_rng(16), strategy)
+        for k, seq in enumerate(np.random.SeedSequence(16).spawn(2)):
+            direct = stiefelgen_series(series, 20, cfg, np.random.default_rng(seq), strategy)
+            assert np.array_equal(ens.curves[k], direct.values)
+
+    def test_peak_memory_is_the_output_and_its_frozen_copy(self):
+        series = TimeSeries(np.sin(np.arange(2000) * 0.02))
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
+        tracemalloc.start()
+        try:
+            ens = batch_generate(series, 200, 50, cfg, np.random.default_rng(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * ens.curves.nbytes
 
 
 class TestAmbientPerturb:

@@ -8,6 +8,7 @@ import sys
 import warnings
 
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -115,6 +116,39 @@ class TestIo:
             io.read_columns(path)
         assert (info.value.line, info.value.column) == (3, 1)
 
+    def test_undecodable_byte_past_the_read_buffer_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        row = ",".join(["0.12345678901234567"] * 25) + "\n"  # 500 bytes: line 3001 starts 1.5 MB in
+        path.write_bytes(row.encode() * 3000 + b"0.5,0.\xe95\n1,2\n")
+        with pytest.raises(io.CsvParseError) as info:
+            io.read_columns(path)
+        assert (info.value.line, info.value.column) == (3001, 7)
+        assert str(info.value).endswith("line 3001 is not UTF-8: byte 0xe9 at column 7")
+
+    def test_leading_bom_series_reads_like_no_bom(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1.5\n2.5\n3.5\n")
+        assert np.array_equal(io.read_series(path).values, [1.5, 2.5, 3.5])
+
+    def test_leading_bom_columns_read_like_no_bom(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,2\r\n3,4\r\n")
+        assert np.array_equal(io.read_columns(path), [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_read_peak_memory_follows_the_array(self, tmp_path):
+        # the file is decoded line by line, so no copy of its text is held through the parse
+        data = np.random.default_rng(4).standard_normal((400, 500))
+        path = tmp_path / "m.csv"
+        io.write_columns(path, data)
+        tracemalloc.start()
+        try:
+            got = io.read_columns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, data)
+        assert peak <= 1.5 * got.nbytes
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_refuses_non_finite_values_before_writing(self, tmp_path, value):
         path = tmp_path / "out.json"
@@ -126,6 +160,9 @@ class TestIo:
     @given(csv_text())
     @example("a,b\n1_0, 1e5 \r\n\n-nan,-inf\n")
     @example("1,2\r3,4\n")
+    @example("\ufeff1,2\n3,4\n")
+    @example("\n\x0c\n1,2\n  \n3,4\n\n")
+    @example("a,b\r\n1,2\r\n")
     def test_fast_read_equals_per_cell_read(self, text):
         # loadtxt either returns bitwise the per-cell array or defers to it, message included
         with tempfile.TemporaryDirectory() as tmp:
@@ -227,6 +264,29 @@ class TestAugmentCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "Traceback" not in err[0]
         assert err[0].endswith(f"{inp}: line 3 is not UTF-8: byte 0xe9 at column 3")
+        assert not out.exists()
+
+    def test_leading_bom_input_generates_like_no_bom(self, tmp_path, signal_csv):
+        inp, _ = signal_csv
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + inp.read_bytes())
+        outs = [tmp_path / "plain_out.csv", tmp_path / "bom_out.csv"]
+        for src, out in zip([inp, bom], outs):
+            assert main(["augment", "--in", str(src), "--out", str(out), "--rows", "20", "--beta", "0.4",
+                         "--seed", "7"]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("text", ["value\n", "\n  \r\n\x0c\n"], ids=["header-only", "blank-only"])
+    def test_input_without_data_is_one_line_usage_error(self, tmp_path, text, capsys):
+        inp = tmp_path / "empty.csv"
+        inp.write_bytes(text.encode())
+        out = tmp_path / "o.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["augment", "--in", str(inp), "--out", str(out), "--rows", "2"])
+        assert code == 2 and caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith(f"{inp}: no numeric rows")
         assert not out.exists()
 
     def test_domain_error_exit_code(self, tmp_path, signal_csv):
