@@ -238,7 +238,7 @@ def batch_generate(
     out = np.empty((count, min(pm.data.size, pm.original_length)))  # the length from_page_matrix returns
     for row, child in enumerate(rng.spawn(count)):
         out[row] = _unpage(fac.path(cfg, child)[0], pm, cfg.smooth_len).values
-    return FunctionalEnsemble(out)
+    return _built(FunctionalEnsemble, out)
 
 
 def ambient_perturb(

@@ -26,6 +26,7 @@ from .sphere import sphere_gen
 WAVES_X_POINTS = 400
 WAVES_T_POINTS = 200
 WAVES_T_SPAN = 4.0 * np.pi
+DEFAULT_DT = 1.0
 
 
 class UsageError(Exception):
@@ -103,14 +104,16 @@ def _cmd_sphere(args) -> int:
 
 
 def _load_snapshots(args) -> SnapshotMatrix:
+    if (args.inp is None) == (args.fixture is None):
+        raise UsageError("give exactly one of --in and --fixture")
     if args.fixture == "waves":
+        # as argparse tells a given flag: an explicit --dt, even 1.0, is not the default object
+        if args.dt is not DEFAULT_DT:
+            raise UsageError("--dt applies only to --in; the fixture sets its own spacing")
         x = np.linspace(-10.0, 10.0, WAVES_X_POINTS)
         t = np.linspace(0.0, WAVES_T_SPAN, WAVES_T_POINTS)
         return synth_spatiotemporal(x, t)
-    if args.inp is None:
-        raise UsageError("one of --in or --fixture is required")
-    data = io.read_columns(args.inp)
-    return SnapshotMatrix(data.astype(np.complex128), args.dt)
+    return SnapshotMatrix(io.read_columns(args.inp), args.dt)
 
 
 def _cmd_dmd_fit(args) -> int:
@@ -157,8 +160,7 @@ def _cmd_fboxplot(args) -> int:
         raise UsageError(
             f"--proportions must be comma-separated numbers, got {args.proportions!r}"
         ) from None
-    curves = io.read_columns(args.inp).T
-    ens = FunctionalEnsemble(curves)
+    ens = FunctionalEnsemble(io.read_columns(args.inp).T)
     box = functional_boxplot(ens, proportions, args.fence)
     io.write_json(
         args.out,
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     # flags of dmd-fit and dmd-ensemble: where the snapshots come from
     snaps = argparse.ArgumentParser(add_help=False)
     snaps.add_argument("--in", dest="inp", help="CSV, columns = snapshots (real data)")
-    snaps.add_argument("--dt", type=float, default=1.0, help="snapshot spacing (with --in)")
+    snaps.add_argument("--dt", type=float, default=DEFAULT_DT, help="snapshot spacing (only with --in)")
     snaps.add_argument("--fixture", choices=["waves"], default=None, help="built-in benchmark data")
     snaps.add_argument("--rank", type=int, required=True)
     snaps.add_argument("--out", required=True, help="output JSON (dmd-fit) or CSV (dmd-ensemble)")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .augment import _factor_path
 from .fda import FunctionalEnsemble
-from .stiefel import CANONICAL, StiefelPoint, _built
+from .stiefel import CANONICAL, StiefelPoint, _built, _freeze
 
 # bench/tracer.py wraps these names in this module; the perturbation itself
 # goes through augment._factor_path.
@@ -46,18 +46,11 @@ class SnapshotMatrix:
     dt: float
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.complex128)
-        if data.ndim != 2:
-            raise ValueError("snapshot data must be 2-d")
-        if data.shape[1] < 3:
-            raise ValueError(f"need at least 3 snapshots, got {data.shape[1]}")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("snapshot data contains non-finite entries")
+        object.__setattr__(self, "data", _freeze(self.data, 2, "snapshot data", np.complex128))
+        if self.n_time < 3:
+            raise ValueError(f"need at least 3 snapshots, got {self.n_time}")
         if not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be positive, got {self.dt}")
-        data = np.array(data)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
 
     @property
     def n_space(self) -> int:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .stiefel import _freeze
+
 __all__ = [
     "FunctionalEnsemble",
     "FunctionalBoxplot",
@@ -28,16 +30,9 @@ class FunctionalEnsemble:
     curves: np.ndarray
 
     def __post_init__(self) -> None:
-        curves = np.asarray(self.curves, dtype=np.float64)
-        if curves.ndim != 2:
-            raise ValueError("curves must be a K x T matrix")
-        if curves.shape[0] < 1:
+        object.__setattr__(self, "curves", _freeze(self.curves, 2, "curve matrix", np.float64))
+        if self.curves.shape[0] < 1:
             raise ValueError("ensemble is empty")
-        if not np.all(np.isfinite(curves)):
-            raise ValueError("curves contain non-finite values")
-        curves = np.array(curves)
-        curves.setflags(write=False)
-        object.__setattr__(self, "curves", curves)
 
     @property
     def n_curves(self) -> int:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, geodesic_path
+from .stiefel import _freeze
 
 __all__ = [
     "SensorDataset",
@@ -34,6 +35,12 @@ KKT_TOL = 1e-6
 #: Sweeps after which fit_one_class gives up on the dual.
 MAX_SWEEPS = 100_000
 
+#: Sampling rate (Hz), record length (s) and noise mean (the bias term) of generate_shm_dataset.
+RATE_HZ, DURATION_S, NOISE_MEAN = 50.0, 9.0, 1.0
+
+#: Dimensions fit_pca keeps; the CLI's points header names two.
+PCA_DIMS = 2
+
 
 @dataclass(frozen=True)
 class SensorDataset:
@@ -44,19 +51,10 @@ class SensorDataset:
     duration: float
 
     def __post_init__(self) -> None:
-        obs = np.asarray(self.observations, dtype=np.float64)
-        if obs.ndim != 3:
-            raise ValueError("observations must have shape (count, sensors, samples)")
-        if not np.all(np.isfinite(obs)):
-            raise ValueError("observations contain non-finite samples")
+        object.__setattr__(self, "observations", _freeze(self.observations, 3, "sensor data", np.float64))
         expected = int(round(self.sample_rate * self.duration))
-        if obs.shape[2] != expected:
-            raise ValueError(
-                f"samples per observation ({obs.shape[2]}) != rate * duration ({expected})"
-            )
-        obs = np.array(obs)
-        obs.setflags(write=False)
-        object.__setattr__(self, "observations", obs)
+        if self.samples != expected:
+            raise ValueError(f"samples per observation ({self.samples}) != rate * duration ({expected})")
 
     @property
     def count(self) -> int:
@@ -79,27 +77,24 @@ def sensor_response(t: np.ndarray, noise: np.ndarray) -> np.ndarray:
 def generate_shm_dataset(
     sensors: int = 5,
     obs_count: int = 50,
-    rate_hz: float = 50.0,
-    duration_s: float = 9.0,
     *,
     rng: np.random.Generator,
-    noise_mean: float = 1.0,
     noise_std: float = 0.5,
 ) -> SensorDataset:
-    """Synthetic bridge dataset.
+    """Synthetic bridge dataset, sampled at RATE_HZ for DURATION_S seconds.
 
     Every sensor row of every observation is an independent draw of the
-    sinusoidal response plus Gaussian noise (mean = bias term,
-    std = noise_std; set noise_std = 0 for the deterministic variant).
-    Time runs uniformly over [0, duration).
+    sinusoidal response plus Gaussian noise (mean NOISE_MEAN, the bias
+    term; std = noise_std, 0 for the deterministic variant). Time runs
+    uniformly over [0, DURATION_S).
     """
-    if sensors < 1 or obs_count < 1 or rate_hz <= 0 or duration_s <= 0:
-        raise ValueError("sensors, obs_count, rate_hz and duration_s must be positive")
-    samples = int(round(rate_hz * duration_s))
-    t = np.arange(samples) / rate_hz
-    noise = noise_mean + noise_std * rng.standard_normal((obs_count, sensors, samples))
+    if sensors < 1 or obs_count < 1:
+        raise ValueError("sensors and obs_count must be positive")
+    samples = int(round(RATE_HZ * DURATION_S))
+    t = np.arange(samples) / RATE_HZ
+    noise = NOISE_MEAN + noise_std * rng.standard_normal((obs_count, sensors, samples))
     obs = sensor_response(t[None, None, :], noise)
-    return SensorDataset(obs, rate_hz, duration_s)
+    return SensorDataset(obs, RATE_HZ, DURATION_S)
 
 
 @dataclass(frozen=True)
@@ -120,22 +115,22 @@ class ProjectedSpace:
         return self.mean + self.basis @ np.asarray(point, dtype=np.float64)
 
 
-def fit_pca(dataset: SensorDataset, dims: int = 2) -> ProjectedSpace:
-    """PCA projection of the dataset, one flattened sensors x samples observation per data point.
+def fit_pca(dataset: SensorDataset) -> ProjectedSpace:
+    """PCA_DIMS-dimensional PCA projection, one flattened sensors x samples observation per data point.
 
     Raises:
-        ValueError: if there are not enough points or the centered data
-            has rank below dims.
+        ValueError: if there are not more than PCA_DIMS points or the
+            centered data has rank below PCA_DIMS.
     """
     rows = dataset.observations.reshape(dataset.count, -1)
-    if rows.shape[0] <= dims:
-        raise ValueError(f"need more than {dims} data points, got {rows.shape[0]}")
+    if rows.shape[0] <= PCA_DIMS:
+        raise ValueError(f"need more than {PCA_DIMS} data points, got {rows.shape[0]}")
     mean = rows.mean(axis=0)
     centered = rows - mean
     _, s, vh = np.linalg.svd(centered, full_matrices=False)
-    if s[dims - 1] <= max(centered.shape) * np.finfo(float).eps * s[0]:
-        raise ValueError(f"data rank is below the requested {dims} components")
-    basis = vh[:dims].T
+    if s[PCA_DIMS - 1] <= max(centered.shape) * np.finfo(float).eps * s[0]:
+        raise ValueError(f"data rank is below the {PCA_DIMS} PCA components")
+    basis = vh[:PCA_DIMS].T
     return ProjectedSpace(mean=mean, basis=basis, points=centered @ basis)
 
 

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stiefel import _freeze
+
 __all__ = [
     "FIT_STRATEGIES",
     "TimeSeries",
@@ -26,14 +28,7 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1:
-            raise ValueError("a time series must be 1-d")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("time series contains non-finite samples")
-        values = np.array(values)
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(self.values, 1, "time series", np.float64))
 
     def __len__(self) -> int:
         return self.values.shape[0]
@@ -52,16 +47,11 @@ class PageMatrix:
     fit_strategy: str
 
     def __post_init__(self) -> None:
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError("page matrix must be 2-d")
+        object.__setattr__(self, "data", _freeze(self.data, 2, "page matrix", np.float64))
         if self.fit_strategy not in FIT_STRATEGIES:
             raise ValueError(f"unknown fit strategy {self.fit_strategy!r}")
         if self.original_length < 1:
             raise ValueError("original_length must be positive")
-        data = np.array(data)
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
 
     @property
     def m(self) -> int:

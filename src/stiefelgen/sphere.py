@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import TimeSeries, smooth
+from .stiefel import _freeze
 
 __all__ = [
     "SPHERE_NORM_TOL",
@@ -39,14 +40,9 @@ class SpherePoint:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 1:
-            raise ValueError("point must be a 1-d vector")
-        if abs(np.linalg.norm(p) - 1.0) >= SPHERE_NORM_TOL:
-            raise ValueError(f"not unit norm: ||p|| = {np.linalg.norm(p):.12f}")
-        p = np.array(p)
-        p.setflags(write=False)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _freeze(self.p, 1, "point", np.float64))
+        if abs(np.linalg.norm(self.p) - 1.0) >= SPHERE_NORM_TOL:
+            raise ValueError(f"not unit norm: ||p|| = {np.linalg.norm(self.p):.12f}")
 
 
 @dataclass(frozen=True)
@@ -57,14 +53,11 @@ class SphereTangent:
     base: SpherePoint
 
     def __post_init__(self) -> None:
-        v = np.asarray(self.v, dtype=np.float64)
-        if v.shape != self.base.p.shape:
+        object.__setattr__(self, "v", _freeze(self.v, 1, "tangent", np.float64))
+        if self.v.shape != self.base.p.shape:
             raise ValueError("tangent shape does not match base point")
-        if abs(float(np.dot(self.base.p, v))) >= SPHERE_NORM_TOL:
-            raise ValueError(f"not tangent: <p, v> = {np.dot(self.base.p, v):.3e}")
-        v = np.array(v)
-        v.setflags(write=False)
-        object.__setattr__(self, "v", v)
+        if abs(float(np.dot(self.base.p, self.v))) >= SPHERE_NORM_TOL:
+            raise ValueError(f"not tangent: <p, v> = {np.dot(self.base.p, self.v):.3e}")
 
 
 def sphere_random_tangent(

@@ -65,22 +65,36 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
     return a.conj().T
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.array(a)
-    if not np.issubdtype(out.dtype, np.complexfloating):
-        out = out.astype(np.float64, copy=False)
-    out.setflags(write=False)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """a, read-only, as complex or float64: only a real array of another dtype is cast, which copies."""
+    a = a.astype(a.dtype if np.iscomplexobj(a) else np.float64, copy=False)
+    a.setflags(write=False)
+    return a
+
+
+def _freeze(value, ndim: int, what: str, dtype=None) -> np.ndarray:
+    """A read-only copy of value in dtype (by default float64, or complex if it is), checked.
+
+    The array rule of every value type: ndim dimensions and finite entries.
+    Each type's __post_init__ adds only its own invariant.
+    """
+    out = _read_only(np.array(value, dtype=dtype))
+    if out.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}-d, got shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise ValueError(f"{what} has non-finite entries")
     return out
 
 
 def _built(cls, *fields):
-    """A cls value frozen as the public constructor freezes it, but not checked.
+    """A cls value that takes over its arrays, frozen in place but neither copied nor checked.
 
-    Only for values derived from checked data: SVD factors, retractions, rescaled tangents.
+    Only for arrays the package derived from checked data and that no code
+    writes to afterwards: SVD factors, retractions, rescaled tangents, generated ensembles.
     """
     out = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, fields):
-        object.__setattr__(out, name, _freeze(value) if isinstance(value, np.ndarray) else value)
+        object.__setattr__(out, name, _read_only(value) if isinstance(value, np.ndarray) else value)
     return out
 
 
@@ -123,15 +137,10 @@ class StiefelPoint:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.asarray(self.matrix)
-        if mat.ndim != 2:
-            raise ValueError(f"expected a 2-d matrix, got ndim={mat.ndim}")
+        mat = _freeze(self.matrix, 2, "matrix")
         m, n = mat.shape
         if n < 1 or m < n:
             raise ValueError(f"need m >= n >= 1, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat)):
-            raise ValueError("matrix has non-finite entries")
-        mat = _freeze(mat)
         defect = np.linalg.norm(_conj_t(mat) @ mat - np.eye(n))
         if defect >= ORTH_TOL:
             raise ValueError(
@@ -168,12 +177,11 @@ class TangentVector:
     base: StiefelPoint
 
     def __post_init__(self) -> None:
-        delta = np.asarray(self.delta)
+        delta = _freeze(self.delta, 2, "tangent vector")
         if delta.shape != self.base.matrix.shape:
             raise ValueError(
                 f"delta shape {delta.shape} != base shape {self.base.matrix.shape}"
             )
-        delta = _freeze(delta)
         x = _conj_t(self.base.matrix) @ delta
         defect = np.linalg.norm(x + _conj_t(x))
         # `not <` also rejects a NaN defect; the norm is taken only past the absolute bound

@@ -62,6 +62,13 @@ class TestStiefelgenMatrix:
         out = stiefelgen_matrix(mat, AugmentConfig(), rng)
         assert np.abs(out - mat).max() < 1e-10
 
+    def test_float32_page_comes_back_float64(self, rng):
+        # the SVD of a float32 page is float32; handing its factors over casts them, as the constructors do.
+        # A diagonal page has exactly orthonormal float32 factors, which the float64 tangency check accepts.
+        page = np.vstack([np.diag([4.0, 3.0, 2.0]), np.zeros((2, 3))]).astype(np.float32)
+        out = stiefelgen_matrix(page, AugmentConfig(), rng)
+        assert out.dtype == np.float64 and np.array_equal(out, page)
+
     @pytest.mark.parametrize("shape", [(6, 4), (10, 10), (4, 9)])
     def test_singular_values_preserved(self, shape, rng):
         mat = np.random.default_rng(7).standard_normal(shape)
@@ -561,6 +568,18 @@ class TestBatchGenerate:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * ens.curves.nbytes
+
+    def test_peak_memory_is_the_output_alone(self):
+        # the filled array becomes the ensemble's, not a second frozen copy of it
+        series = TimeSeries(np.sin(np.arange(2000) * 0.02))
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
+        tracemalloc.start()
+        try:
+            ens = batch_generate(series, 500, 50, cfg, np.random.default_rng(15))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ens.curves.nbytes
 
 
 class TestAmbientPerturb:

@@ -373,6 +373,24 @@ class TestOtherCommands:
         code = main(["dmd-fit", "--rank", "2", "--out", str(tmp_path / "m.json")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["dmd-fit", "dmd-ensemble"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [(["--in", "IN", "--fixture", "waves"], "exactly one of --in and --fixture"),
+         (["--fixture", "waves", "--dt", "0.5"], "--dt applies only to --in"),
+         (["--fixture", "waves", "--dt", "1.0"], "--dt applies only to --in")],
+        ids=["in-and-fixture", "dt-with-fixture", "default-dt-with-fixture"],
+    )
+    def test_dmd_snapshot_flag_that_would_be_ignored_is_usage_error(self, tmp_path, command, flags, message, capsys):
+        inp = tmp_path / "snaps.csv"
+        inp.write_text("1,2,3,4\n2,3,4,5\n")
+        out = tmp_path / "out"
+        argv = [command, *[str(inp) if f == "IN" else f for f in flags], "--rank", "2", "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and message in err[0]
+        assert not out.exists()
+
     def test_dmd_ensemble_member_count(self, tmp_path):
         out = tmp_path / "ens.csv"
         code = main(
