@@ -116,6 +116,8 @@ class _Factorization:
         mat = np.asarray(mat)
         if mat.ndim != 2 or min(mat.shape) < 2:
             raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
+        # a float32 SVD leaves factors orthonormal only to float32 precision; float64 and complex stay as given
+        mat = mat.astype(np.result_type(mat, np.float64), copy=False)
         # the SVD may return non-finite factors, or not return, for an infinite entry
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite entries")

@@ -110,14 +110,8 @@ def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.n
             "the reduced operator has a zero eigenvalue, whose rate log(0)/dt is undefined"
         )
     modes = core @ w
-    return DmdModel(
-        modes=modes,
-        eigenvalues=mu,
-        omegas=np.log(mu) / snaps.dt,
-        amplitudes=np.linalg.pinv(modes) @ data[:, 0],
-        rank=s_r.shape[0],
-        dt=snaps.dt,
-    )
+    amplitudes = np.linalg.pinv(modes) @ data[:, 0]
+    return _built(DmdModel, modes, mu, np.log(mu) / snaps.dt, amplitudes, s_r.shape[0], snaps.dt)
 
 
 def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, rng) -> DmdModel:

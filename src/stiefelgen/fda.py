@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stiefel import _freeze
+from .stiefel import _built, _freeze, _read_only
 
 __all__ = [
     "FunctionalEnsemble",
@@ -123,18 +123,12 @@ def functional_boxplot(
     def envelope(p: float):
         take = order[: int(np.ceil(p * k))]
         sub = curves[take]
-        return sub.min(axis=0), sub.max(axis=0)
+        return _read_only(sub.min(axis=0)), _read_only(sub.max(axis=0))
 
     envelopes = {p: envelope(p) for p in proportions}
     lo50, hi50 = envelopes[0.5] if 0.5 in envelopes else envelope(0.5)
     width = hi50 - lo50
-    fences = (lo50 - fence_factor * width, hi50 + fence_factor * width)
+    fences = (_read_only(lo50 - fence_factor * width), _read_only(hi50 + fence_factor * width))
     outside = (curves < fences[0]) | (curves > fences[1])
     outlier_indices = [int(i) for i in np.nonzero(outside.any(axis=1))[0]]
-    return FunctionalBoxplot(
-        median_index=median_index,
-        central_envelopes=envelopes,
-        fences=fences,
-        outlier_indices=outlier_indices,
-        depths=depths,
-    )
+    return _built(FunctionalBoxplot, median_index, envelopes, fences, outlier_indices, depths)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, geodesic_path
-from .stiefel import _freeze
+from .stiefel import _built, _freeze
 
 __all__ = [
     "SensorDataset",
@@ -131,7 +131,7 @@ def fit_pca(dataset: SensorDataset) -> ProjectedSpace:
     if s[PCA_DIMS - 1] <= max(centered.shape) * np.finfo(float).eps * s[0]:
         raise ValueError(f"data rank is below the {PCA_DIMS} PCA components")
     basis = vh[:PCA_DIMS].T
-    return ProjectedSpace(mean=mean, basis=basis, points=centered @ basis)
+    return _built(ProjectedSpace, mean, basis, centered @ basis)
 
 
 @dataclass(frozen=True)
@@ -218,13 +218,7 @@ def fit_one_class(points: np.ndarray, nu: float = 0.1, gamma: float = 1e-3) -> O
             offset = float((lo + hi) / 2.0)
         else:
             offset = float(lo if np.isfinite(lo) else hi)
-    return OneClassModel(
-        kernel_gamma=gamma,
-        nu=nu,
-        support_coefficients=alpha,
-        offset=offset,
-        training_points=np.array(points),
-    )
+    return _built(OneClassModel, gamma, nu, alpha, offset, np.array(points))
 
 
 def perturb_and_track(

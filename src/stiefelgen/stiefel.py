@@ -90,7 +90,7 @@ def _built(cls, *fields):
     """A cls value that takes over its arrays, frozen in place but neither copied nor checked.
 
     Only for arrays the package derived from checked data and that no code
-    writes to afterwards: SVD factors, retractions, rescaled tangents, generated ensembles.
+    writes to afterwards: SVD factors, retractions, rescaled tangents, generated ensembles, fits.
     """
     out = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, fields):
@@ -453,8 +453,10 @@ def _krylov_coordinates(
     if norm == 0.0:
         raise ValueError("cannot scale a zero tangent vector to a positive radius")
     scale = INJECTIVITY_RADIUS / norm
-    row_sums = np.linalg.norm(diag, 2, axis=(1, 2))
-    sub_norms = np.linalg.norm(sub, 2, axis=(1, 2))
+    # block 2-norms from the largest eigenvalue of each B* B, clipped so that a zero block gives 0
+    both = np.concatenate([diag, sub])
+    gram_max = np.linalg.eigvalsh(both.conj().transpose(0, 2, 1) @ both)[:, -1]
+    row_sums, sub_norms = np.split(np.sqrt(np.maximum(gram_max, 0.0)), [nb])
     row_sums[1:] += sub_norms
     row_sums[:-1] += sub_norms
     rho = scale * row_sums.max()
@@ -478,15 +480,20 @@ def _block_tridiagonal(diag: np.ndarray, sub: np.ndarray, size: int) -> np.ndarr
     return t.reshape(nb * k, nb * k)[:size, :size]
 
 
-def _haar_complement(x: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed orthonormal L x width frame orthogonal to the columns of x.
-
-    The Q factor of (I - X X*) N for an L x width Gaussian N, with its
-    columns' phases fixed so that R has a positive diagonal (Mezzadri,
-    Notices AMS 54, 2007).
-    """
+def _projected_normals(x: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
+    """P = (I - X X*) N for an L x width Gaussian N."""
     n = _standard_normal((x.shape[0], width), np.iscomplexobj(x), rng)
-    q, r = np.linalg.qr(n - x @ (_conj_t(x) @ n))
+    return n - x @ (_conj_t(x) @ n)
+
+
+def _haar_complement(x: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
+    """A Haar-distributed orthonormal L x width frame W orthogonal to the columns of x, formed.
+
+    The Q factor of P = _projected_normals(x, width, rng) = W R, its phases fixed so that R has a
+    positive diagonal (Mezzadri, Notices AMS 54, 2007). _action_columns forms W only for wide
+    frames, 2 width > L - k, where P* P is too ill-conditioned for its Cholesky route.
+    """
+    q, r = np.linalg.qr(_projected_normals(x, width, rng))
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
@@ -502,21 +509,25 @@ def _action_columns(
     (_krylov_coordinates), exp(t A) X = M exp(t T) E_k, and by the
     reduction's invariance the frame W past X is Haar in the complement of
     X and independent of T. So only T and the columns of W that the kept
-    blocks reach are drawn (_haar_complement), and X c1 + W c2 is returned
-    for [c1; c2] = exp(t T_d) E_k, one matrix_exp of t T_d on the kept
-    corner per t as in geodesic, so t = 1 is bitwise the one-step draw.
-    Unless every block is kept, no L x L array is formed. The stream
-    advances the same for every beta; at beta = 0 X itself comes back.
+    blocks reach are drawn, and X c1 + W c2 is returned for [c1; c2] =
+    exp(t T_d) E_k, one matrix_exp on the kept corner and one solve per t as
+    in geodesic, so t = 1 is bitwise the one-step draw. If W's w = size - k
+    columns have 2 w <= L - k, W c2 = P (R^-1 c2) for P = W R the projected
+    normals and R = cholesky(P* P)*, the positive-diagonal R: same draws, same
+    law, W never formed. Unless every block is kept, no L x L array is formed.
+    The stream advances the same for every beta; at beta = 0 X itself comes back.
     """
     dim, k = x.shape
     diag, sub, blocks = _krylov_coordinates(dim, k, np.iscomplexobj(x), beta, metric, rng)
     size = min(blocks * k, dim)
-    w = _haar_complement(x, size - k, rng)
+    narrow = 2 * (size - k) <= dim - k
+    frame = (_projected_normals if narrow else _haar_complement)(x, size - k, rng)
     if beta == 0.0:
         return [x] * steps
+    r = _conj_t(np.linalg.cholesky(_conj_t(frame) @ frame)) if narrow else None
     t = _block_tridiagonal(diag[:blocks], sub, size)
     cols = [matrix_exp(step / steps * t)[:, :k] for step in range(1, steps + 1)]
-    return [x @ c[:k] + w @ c[k:] for c in cols]
+    return [x @ c[:k] + frame @ (np.linalg.solve(r, c[k:]) if narrow else c[k:]) for c in cols]
 
 
 def exp_map(

@@ -69,6 +69,16 @@ class TestStiefelgenMatrix:
         out = stiefelgen_matrix(page, AugmentConfig(), rng)
         assert out.dtype == np.float64 and np.array_equal(out, page)
 
+    @pytest.mark.parametrize("shape", [(24, 16), (5, 450)])
+    def test_float32_sine_page_draws_as_its_float64_cast(self, shape):
+        # a float32 SVD gives factors orthonormal to about 1e-6 only, far outside the tangency check;
+        # the page is cast first, so its draws are those of the float64 page (5 x 450 takes the action route)
+        page = sine_matrix(*shape).astype(np.float32)
+        cfg = AugmentConfig(beta_u=0.5, beta_v=0.5)
+        want = stiefelgen_matrix(page.astype(np.float64), cfg, np.random.default_rng(3))
+        assert np.array_equal(stiefelgen_matrix(page, cfg, np.random.default_rng(3)), want)
+        assert np.array_equal(geodesic_path(page, cfg, 2, np.random.default_rng(3))[-1], want)
+
     @pytest.mark.parametrize("shape", [(6, 4), (10, 10), (4, 9)])
     def test_singular_values_preserved(self, shape, rng):
         mat = np.random.default_rng(7).standard_normal(shape)

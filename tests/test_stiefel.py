@@ -628,6 +628,18 @@ class TestRandomSkew:
         with pytest.raises(ValueError, match="zero tangent"):
             stiefel._action_columns(x, 0.5, MetricParams(-2.0), rng)
 
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_kept_blocks_are_the_least_that_bound_the_tail(self, complex_field):
+        # rho from the SVD 2-norms of the returned blocks at beta = 1; 450 x 5 keeps 14 (real) or 15 of 90
+        rng = np.random.default_rng(4)
+        diag, sub, blocks = stiefel._krylov_coordinates(450, 5, complex_field, 1.0, CANONICAL, rng)
+        row_sums, sub_norms = np.linalg.norm(diag, 2, axis=(1, 2)), np.linalg.norm(sub, 2, axis=(1, 2))
+        row_sums[1:] += sub_norms
+        row_sums[:-1] += sub_norms
+        rho = row_sums.max()
+        assert 1 < blocks < 90
+        assert rho**blocks / math.factorial(blocks) <= 2.0**-53 < rho ** (blocks - 1) / math.factorial(blocks - 1)
+
 
 class CountingGenerator:
     """A Generator stand-in that counts the real normals and chi-squares drawn through it."""
@@ -647,8 +659,9 @@ class CountingGenerator:
 class TestKrylovDraw:
     """exp(t A) X drawn in Krylov coordinates against scipy.linalg.expm of the completed generator."""
 
-    # 300 = 42 * 7 + 6 leaves a short last block; alpha = 0, beta = 1 is the largest admissible norm
-    @pytest.mark.parametrize("dim, k", [(160, 4), (300, 7), (450, 5)])
+    # 300 = 42 * 7 + 6 leaves a short last block; alpha = 0, beta = 1 is the largest admissible norm.
+    # 128 x 8 and 160 x 10 keep every block, a frame too wide to apply implicitly, so W is formed.
+    @pytest.mark.parametrize("dim, k", [(160, 4), (300, 7), (450, 5), (128, 8), (160, 10)])
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_matches_expm_of_completed_generator(self, dim, k, complex_field):
         x = random_stiefel(dim, k, np.random.default_rng(dim + k), complex_field).matrix
@@ -667,6 +680,23 @@ class TestKrylovDraw:
         for step, point in enumerate(got, start=1):
             assert np.abs(point - scipy.linalg.expm(step / 20 * a) @ x).max() < 1e-12
             assert np.linalg.norm(point.conj().T @ point - np.eye(k)) < 1e-8
+
+    @pytest.mark.parametrize("dim, k", [(450, 5), (200, 6)])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_narrow_frame_applied_implicitly_equals_the_formed_frame(self, dim, k, complex_field):
+        # P (R^-1 c2) with R from cholesky(P* P) against W c2 with W formed by _haar_complement, same normals
+        x = random_stiefel(dim, k, np.random.default_rng(dim + k), complex_field).matrix
+        rng, replay_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = stiefel._action_columns(x, 1.0, CANONICAL, rng, 3)
+        diag, sub, blocks = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, CANONICAL, replay_rng)
+        width = min(blocks * k, dim) - k
+        assert 0 < 2 * width <= dim - k
+        w = stiefel._haar_complement(x, width, replay_rng)
+        assert rng.bit_generator.state == replay_rng.bit_generator.state
+        t = stiefel._block_tridiagonal(diag[:blocks], sub, width + k)
+        for step, point in enumerate(got, start=1):
+            c = stiefel.matrix_exp(step / 3 * t)[:, :k]
+            assert np.abs(point - (x @ c[:k] + w @ c[k:])).max() < 1e-13
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("steps", [1, 20])

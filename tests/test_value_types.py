@@ -5,9 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from stiefelgen.dmd import SnapshotMatrix
-from stiefelgen.fda import FunctionalEnsemble
-from stiefelgen.novelty import SensorDataset
+from stiefelgen.dmd import SnapshotMatrix, fit_dmd, synth_spatiotemporal
+from stiefelgen.fda import FunctionalEnsemble, functional_boxplot
+from stiefelgen.novelty import SensorDataset, fit_one_class, fit_pca, generate_shm_dataset
 from stiefelgen.signal import PageMatrix, TimeSeries
 from stiefelgen.sphere import SpherePoint, SphereTangent
 from stiefelgen.stiefel import StiefelPoint, TangentVector, _built
@@ -57,3 +57,33 @@ def test_built_hands_its_array_over():
     assert point.matrix is derived and not derived.flags.writeable
     # a real array of another dtype is cast, the one case that copies
     assert _built(StiefelPoint, np.eye(4, 2, dtype=np.float32)).matrix.dtype == np.float64
+
+
+def arrays_in(value) -> list:
+    """Every array a value holds, those nested in its dicts and tuples included."""
+    found, todo = [], [getattr(value, f.name) for f in dataclasses.fields(value)]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+    return found
+
+
+def test_results_hand_out_read_only_arrays():
+    # a write to a fitted basis or envelope would silently move every later projection or plot
+    pca = fit_pca(generate_shm_dataset(2, 6, rng=np.random.default_rng(0)))
+    results = [
+        pca,
+        fit_one_class(pca.points),
+        fit_dmd(synth_spatiotemporal(np.linspace(-5, 5, 20), np.linspace(0, 2, 12)), 2),
+        functional_boxplot(FunctionalEnsemble(np.arange(20.0).reshape(4, 5) % 7), (0.5, 0.75)),
+    ]
+    for value in results:
+        arrays = arrays_in(value)
+        assert arrays and not any(a.flags.writeable for a in arrays), type(value).__name__
+    # the boxplot's two envelopes and two fences, and its depths
+    assert len(arrays_in(results[-1])) == 7
