@@ -116,7 +116,8 @@ class _Factorization:
         mat = np.asarray(mat)
         if mat.ndim != 2 or min(mat.shape) < 2:
             raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
-        # a float32 SVD leaves factors orthonormal only to float32 precision; float64 and complex stay as given
+        # a single-precision SVD, real or complex, leaves factors orthonormal only to that precision,
+        # so float32 and complex64 pages are cast to double; float64 and complex128 stay as given
         mat = mat.astype(np.result_type(mat, np.float64), copy=False)
         # the SVD may return non-finite factors, or not return, for an infinite entry
         if not np.all(np.isfinite(mat)):
@@ -206,14 +207,17 @@ def geodesic_path(
     """Reconstructions along one shared geodesic, at t = 0, 1/steps, ..., 1.
 
     A single (tangent_u, tangent_v) pair is sampled, so the path
-    interpolates one realization: element 0 is a copy of the input and
-    element `steps` is the one-shot stiefelgen_matrix output for the
-    same generator state, bitwise on every route. In rank mode every
-    element after the first carries the untouched residual dyads.
+    interpolates one realization: element 0 is a copy of the input, in
+    the double precision of every later element, and element `steps` is
+    the one-shot stiefelgen_matrix output for the same generator state,
+    bitwise on every route. In rank mode every element after the first
+    carries the untouched residual dyads.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    return [np.array(mat)] + _Factorization(mat, cfg.rank).path(cfg, rng, steps)
+    mat = np.asarray(mat)
+    start = np.array(mat, dtype=np.result_type(mat, np.float64))
+    return [start] + _Factorization(mat, cfg.rank).path(cfg, rng, steps)
 
 
 def batch_generate(

@@ -491,7 +491,7 @@ def _haar_complement(x: np.ndarray, width: int, rng: np.random.Generator) -> np.
 
     The Q factor of P = _projected_normals(x, width, rng) = W R, its phases fixed so that R has a
     positive diagonal (Mezzadri, Notices AMS 54, 2007). _action_columns forms W only for wide
-    frames, 2 width > L - k, where P* P is too ill-conditioned for its Cholesky route.
+    frames, 2 width > L - k, where cholesky(P* P) can break down (see there).
     """
     q, r = np.linalg.qr(_projected_normals(x, width, rng))
     d = np.diagonal(r)
@@ -514,8 +514,9 @@ def _action_columns(
     in geodesic, so t = 1 is bitwise the one-step draw. If W's w = size - k
     columns have 2 w <= L - k, W c2 = P (R^-1 c2) for P = W R the projected
     normals and R = cholesky(P* P)*, the positive-diagonal R: same draws, same
-    law, W never formed. Unless every block is kept, no L x L array is formed.
-    The stream advances the same for every beta; at beta = 0 X itself comes back.
+    law, W never formed, cond(P) near 6. Wider frames are formed: when every
+    block is kept, the one case with an L x L array, P is square and Cholesky
+    can fail. The stream advances alike for every beta; beta = 0 returns X.
     """
     dim, k = x.shape
     diag, sub, blocks = _krylov_coordinates(dim, k, np.iscomplexobj(x), beta, metric, rng)

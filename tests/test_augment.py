@@ -69,15 +69,20 @@ class TestStiefelgenMatrix:
         out = stiefelgen_matrix(page, AugmentConfig(), rng)
         assert out.dtype == np.float64 and np.array_equal(out, page)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
     @pytest.mark.parametrize("shape", [(24, 16), (5, 450)])
-    def test_float32_sine_page_draws_as_its_float64_cast(self, shape):
-        # a float32 SVD gives factors orthonormal to about 1e-6 only, far outside the tangency check;
-        # the page is cast first, so its draws are those of the float64 page (5 x 450 takes the action route)
-        page = sine_matrix(*shape).astype(np.float32)
+    def test_single_precision_sine_page_draws_as_its_double_cast(self, shape, dtype):
+        # a single-precision SVD gives factors orthonormal to about 1e-6 only, far outside the tangency check;
+        # the page is cast first, so its draws are those of the double page (5 x 450 takes the action route)
+        mat = sine_matrix(*shape)
+        page = (mat + 1j * mat[::-1] if dtype == np.complex64 else mat).astype(dtype)
+        double = np.result_type(page, np.float64)
         cfg = AugmentConfig(beta_u=0.5, beta_v=0.5)
-        want = stiefelgen_matrix(page.astype(np.float64), cfg, np.random.default_rng(3))
+        want = stiefelgen_matrix(page.astype(double), cfg, np.random.default_rng(3))
         assert np.array_equal(stiefelgen_matrix(page, cfg, np.random.default_rng(3)), want)
-        assert np.array_equal(geodesic_path(page, cfg, 2, np.random.default_rng(3))[-1], want)
+        path = geodesic_path(page, cfg, 2, np.random.default_rng(3))
+        assert np.array_equal(path[-1], want) and np.array_equal(path[0], page)
+        assert [p.dtype for p in path] == [double] * 3
 
     @pytest.mark.parametrize("shape", [(6, 4), (10, 10), (4, 9)])
     def test_singular_values_preserved(self, shape, rng):

@@ -670,6 +670,7 @@ class TestKrylovDraw:
         diag, sub, blocks = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, CANONICAL, replay_rng)
         w = stiefel._haar_complement(x, min(blocks * k, dim) - k, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
+        assert (2 * w.shape[1] > dim - k) == ((dim, k) in [(128, 8), (160, 10)])
         frame = np.hstack([x, w])
         assert np.linalg.norm(frame.conj().T @ frame - np.eye(frame.shape[1])) < 1e-12
         # M = [X, W, W'] with any unitary completion W'; T holds every block, the dropped ones too
@@ -697,6 +698,19 @@ class TestKrylovDraw:
         for step, point in enumerate(got, start=1):
             c = stiefel.matrix_exp(step / 3 * t)[:, :k]
             assert np.abs(point - (x @ c[:k] + w @ c[k:])).max() < 1e-13
+
+    def test_square_frame_is_formed_where_cholesky_breaks_down(self):
+        # 128 x 8 keeps every block, so P = (I - X X*) N is square in the complement of X, and its condition
+        # number has a heavy tail: 2.3e8 at this seed, one in about 160 000, where cond(P)^2 exceeds 1 / u
+        # and cholesky(P* P) raises. The formed Householder frame still gives an orthonormal point.
+        dim, k, seed = 128, 8, 156248
+        x = random_stiefel(dim, k, np.random.default_rng(dim + k)).matrix
+        rng, replay_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        (point,) = stiefel._action_columns(x, 1.0, CANONICAL, rng)
+        _, _, blocks = stiefel._krylov_coordinates(dim, k, False, 1.0, CANONICAL, replay_rng)
+        assert blocks * k == dim
+        assert np.linalg.cond(stiefel._projected_normals(x, dim - k, replay_rng)) > 1e8
+        assert np.linalg.norm(point.T @ point - np.eye(k)) < 1e-12
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("steps", [1, 20])
