@@ -106,10 +106,11 @@ class _Factorization:
     the reconstruction (cols = k = min(m, n) in full-rank mode, rank
     otherwise, with the remaining dyads added back untouched). In
     full-rank mode a long side L with _takes_action(L, k) is held as its
-    plain L x k block and moved in the ambient frame, so the thin SVD
-    suffices. Every other factor is a point: the full square factor in
-    full-rank mode, its leading `rank` columns otherwise. The factors are
-    orthonormal by construction, so only the input is checked.
+    plain L x k block and moved in the ambient frame. Every other factor
+    is a point: the full square factor in full-rank mode, its leading
+    `rank` columns otherwise. Only the full-rank dense route needs the
+    full SVD; the others take the thin one. The factors are orthonormal
+    by construction, so only the input is checked.
     """
 
     def __init__(self, mat: np.ndarray, rank: int | None) -> None:
@@ -125,14 +126,14 @@ class _Factorization:
         k = min(mat.shape)
         if rank is not None and rank >= k:
             raise ValueError(f"rank must be < min(m, n) = {k}, got {rank}")
-        action = rank is None and _takes_action(max(mat.shape), k)
-        self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=not action)
+        dense = rank is None and not _takes_action(max(mat.shape), k)
+        self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=dense)
         v1 = self.v1h.conj().T
         self.cols = k if rank is None else rank
-        # only the thin SVD of an action page leaves a non-square factor, its long side;
-        # [:, :None] keeps every column
+        # in full-rank mode only an action page's long side is non-square; [:, :None] keeps every column
         self.u, self.v = (
-            f if f.shape[0] > f.shape[1] else _built(StiefelPoint, f[:, :rank]) for f in (self.u1, v1)
+            f if rank is None and f.shape[0] > f.shape[1] else _built(StiefelPoint, f[:, :rank])
+            for f in (self.u1, v1)
         )
 
     def path(self, cfg: AugmentConfig, rng: np.random.Generator, steps: int = 1) -> list:

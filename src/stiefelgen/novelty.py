@@ -162,12 +162,14 @@ def fit_one_class(points: np.ndarray, nu: float = 0.1, gamma: float = 1e-3) -> O
     vectors, so those sit on the boundary.
 
     Raises:
-        ValueError: for invalid nu/gamma or fewer than 2 points.
+        ValueError: for invalid nu/gamma, fewer than 2 points or non-finite
+            points.
         RuntimeError: if the KKT gap has not closed after MAX_SWEEPS sweeps.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError("need at least 2 training points")
+    points = _freeze(points, 2, "training points")
     if not 0.0 < nu <= 1.0:
         raise ValueError(f"nu must lie in (0, 1], got {nu}")
     # a NaN gamma fails this comparison too
@@ -218,7 +220,7 @@ def fit_one_class(points: np.ndarray, nu: float = 0.1, gamma: float = 1e-3) -> O
             offset = float((lo + hi) / 2.0)
         else:
             offset = float(lo if np.isfinite(lo) else hi)
-    return _built(OneClassModel, gamma, nu, alpha, offset, np.array(points))
+    return _built(OneClassModel, gamma, nu, alpha, offset, points)
 
 
 def perturb_and_track(

@@ -377,13 +377,13 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
 
 
 #: The exponential's action pays off only for few columns of a large factor.
-#: With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6, beta = 1
-#: canonical draws), _action_columns on 1, m/16 or m/8 columns took this share
-#: of the dense draw's time (random_tangent, normalize_and_scale, geodesic): one
-#: step 1.0-2.5x at m = 32 and 64, 0.2x (1 column) to 1.3x (m/16) at m = 128 and
-#: 0.01-0.8x at m = 450; 20 steps 0.8-1.1x, 0.2-1.0x, 0.04-0.6x and 0.003-0.8x.
-#: From m/16 columns on, the kept corner is (nearly) the whole generator, whose
-#: matrix_exp costs what the dense one does; 5 of 450 columns keep 70 x 70.
+#: With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6, one-step
+#: beta = 1 canonical draws), _action_columns took this share of the dense
+#: draw's time (random_tangent, normalize_and_scale, geodesic): 0.54-2.1x at
+#: m = 64 (1-4 columns), 0.19-1.35x at m = 96 (1-6), and below m/16 columns
+#: 0.10-0.37x at m = 128, 0.04-0.22x at m = 200, 0.01-0.17x at m = 300. At
+#: m/16 columns it took 1.21x (128), 1.05x (200) and 0.87x (300): 15-19 blocks
+#: are kept at every shape, so there the kept corner is the whole generator.
 _ACTION_MIN_DIM = 128
 _ACTION_COL_RATIO = 16
 
@@ -486,18 +486,6 @@ def _projected_normals(x: np.ndarray, width: int, rng: np.random.Generator) -> n
     return n - x @ (_conj_t(x) @ n)
 
 
-def _haar_complement(x: np.ndarray, width: int, rng: np.random.Generator) -> np.ndarray:
-    """A Haar-distributed orthonormal L x width frame W orthogonal to the columns of x, formed.
-
-    The Q factor of P = _projected_normals(x, width, rng) = W R, its phases fixed so that R has a
-    positive diagonal (Mezzadri, Notices AMS 54, 2007). _action_columns forms W only for wide
-    frames, 2 width > L - k, where cholesky(P* P) can break down (see there).
-    """
-    q, r = np.linalg.qr(_projected_normals(x, width, rng))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
-
-
 def _action_columns(
     x: np.ndarray, beta: float, metric: MetricParams, rng: np.random.Generator, steps: int = 1
 ) -> list:
@@ -511,24 +499,30 @@ def _action_columns(
     X and independent of T. So only T and the columns of W that the kept
     blocks reach are drawn, and X c1 + W c2 is returned for [c1; c2] =
     exp(t T_d) E_k, one matrix_exp on the kept corner and one solve per t as
-    in geodesic, so t = 1 is bitwise the one-step draw. If W's w = size - k
-    columns have 2 w <= L - k, W c2 = P (R^-1 c2) for P = W R the projected
-    normals and R = cholesky(P* P)*, the positive-diagonal R: same draws, same
-    law, W never formed, cond(P) near 6. Wider frames are formed: when every
-    block is kept, the one case with an L x L array, P is square and Cholesky
-    can fail. The stream advances alike for every beta; beta = 0 returns X.
+    in geodesic, so t = 1 is bitwise the one-step draw. W is never formed:
+    W is the Q factor of the projected normals P = W R whose R has a positive
+    diagonal (Mezzadri, Notices AMS 54, 2007), so W c2 = P (R^-1 c2). If W's
+    w = size - k columns have 2 w <= L - k, R = cholesky(P* P)*, cheap and
+    safe as cond(P) stays near 6. Wider frames take R from one Householder
+    QR of P, rows phase-fixed: when every block is kept P is square in the
+    complement of X, cond(P) has a heavy tail and Cholesky can fail. The
+    stream advances alike for every beta; beta = 0 returns X.
     """
     dim, k = x.shape
     diag, sub, blocks = _krylov_coordinates(dim, k, np.iscomplexobj(x), beta, metric, rng)
     size = min(blocks * k, dim)
-    narrow = 2 * (size - k) <= dim - k
-    frame = (_projected_normals if narrow else _haar_complement)(x, size - k, rng)
+    p = _projected_normals(x, size - k, rng)
     if beta == 0.0:
         return [x] * steps
-    r = _conj_t(np.linalg.cholesky(_conj_t(frame) @ frame)) if narrow else None
+    if 2 * (size - k) <= dim - k:
+        r = _conj_t(np.linalg.cholesky(_conj_t(p) @ p))
+    else:
+        r = np.linalg.qr(p, mode="r")
+        d = np.diagonal(r)
+        r = r * (np.abs(d) / d)[:, None]
     t = _block_tridiagonal(diag[:blocks], sub, size)
     cols = [matrix_exp(step / steps * t)[:, :k] for step in range(1, steps + 1)]
-    return [x @ c[:k] + frame @ (np.linalg.solve(r, c[k:]) if narrow else c[k:]) for c in cols]
+    return [x @ c[:k] + p @ np.linalg.solve(r, c[k:]) for c in cols]
 
 
 def exp_map(

@@ -9,6 +9,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
+from conftest import formed_frame
 from stiefelgen import augment, stiefel
 from stiefelgen.augment import (
     AugmentConfig,
@@ -375,7 +376,7 @@ def ambient_replay(factors, cfg, rng):
     du = normalize_and_scale(u_pt, random_tangent(u_pt, rng), cfg.beta_u, cfg.metric)
     dim, k = v1.shape
     diag, sub, blocks = stiefel._krylov_coordinates(dim, k, np.iscomplexobj(v1), cfg.beta_v, cfg.metric, rng)
-    frame = np.hstack([v1, stiefel._haar_complement(v1, min(blocks * k, dim) - k, rng)])
+    frame = np.hstack([v1, formed_frame(v1, min(blocks * k, dim) - k, rng)])
     m = np.hstack([frame, scipy.linalg.null_space(frame.conj().T)])
     a = m @ stiefel._block_tridiagonal(diag, sub, dim) @ m.conj().T
     v = np.hstack([v1, scipy.linalg.null_space(v1.conj().T)])
@@ -504,6 +505,17 @@ class TestTrustedFactors:
             point = StiefelPoint(factor if isinstance(factor, np.ndarray) else factor.matrix)
             d = normalize_and_scale(point, random_tangent(point, r), 0.8)
             TangentVector(d.delta, point)
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    def test_rank_mode_holds_no_long_square_factor(self, complex_field):
+        # rank mode reads the leading `rank` columns of each factor, so the 450 x 450 V is never formed
+        mat = np.random.default_rng(7).standard_normal((5, 450))
+        if complex_field:
+            mat = mat + 1j * np.random.default_rng(8).standard_normal((5, 450))
+        fac = augment._Factorization(mat, 2)
+        held = [getattr(value, "matrix", value) for value in vars(fac).values()]
+        assert max(np.size(a) for a in held) == 5 * 450
+        assert fac.u.matrix.shape == (5, 2) and fac.v.matrix.shape == (450, 2)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_entries_rejected(self, value, rng):

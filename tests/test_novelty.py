@@ -122,6 +122,19 @@ class TestOneClass:
         with pytest.raises(ValueError, match="nu"):
             fit_one_class(pca.points, nu=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        # one bad entry among 50 points used to give offset = inf and a NaN decision everywhere
+        pts = np.random.default_rng(2).standard_normal((50, 3))
+        pts[17, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_one_class(pts)
+
+    @pytest.mark.parametrize("shape", [(5,), (1, 3), (2, 2, 2)])
+    def test_rejects_too_few_or_misshapen_points(self, shape):
+        with pytest.raises(ValueError, match="need at least 2 training points"):
+            fit_one_class(np.zeros(shape))
+
     def test_raises_when_the_sweeps_run_out(self, pca, monkeypatch):
         monkeypatch.setattr(novelty, "MAX_SWEEPS", 1)
         with pytest.raises(RuntimeError, match="within 1 sweeps"):

@@ -1,5 +1,6 @@
 """Tests for the Stiefel manifold operations."""
 
+import copy
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from conftest import random_stiefel
+from conftest import formed_frame, random_stiefel
 from stiefelgen import augment, stiefel
 from stiefelgen.stiefel import (
     CANONICAL,
@@ -660,7 +661,7 @@ class TestKrylovDraw:
     """exp(t A) X drawn in Krylov coordinates against scipy.linalg.expm of the completed generator."""
 
     # 300 = 42 * 7 + 6 leaves a short last block; alpha = 0, beta = 1 is the largest admissible norm.
-    # 128 x 8 and 160 x 10 keep every block, a frame too wide to apply implicitly, so W is formed.
+    # 128 x 8 and 160 x 10 keep every block, a frame too wide for Cholesky, so R comes from Householder QR.
     @pytest.mark.parametrize("dim, k", [(160, 4), (300, 7), (450, 5), (128, 8), (160, 10)])
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_matches_expm_of_completed_generator(self, dim, k, complex_field):
@@ -668,7 +669,7 @@ class TestKrylovDraw:
         rng, replay_rng = np.random.default_rng(5), np.random.default_rng(5)
         got = stiefel._action_columns(x, 1.0, CANONICAL, rng, 20)
         diag, sub, blocks = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, CANONICAL, replay_rng)
-        w = stiefel._haar_complement(x, min(blocks * k, dim) - k, replay_rng)
+        w = formed_frame(x, min(blocks * k, dim) - k, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert (2 * w.shape[1] > dim - k) == ((dim, k) in [(128, 8), (160, 10)])
         frame = np.hstack([x, w])
@@ -682,35 +683,39 @@ class TestKrylovDraw:
             assert np.abs(point - scipy.linalg.expm(step / 20 * a) @ x).max() < 1e-12
             assert np.linalg.norm(point.conj().T @ point - np.eye(k)) < 1e-8
 
-    @pytest.mark.parametrize("dim, k", [(450, 5), (200, 6)])
+    # 450 x 5 and 200 x 6 take R from cholesky(P* P), the whole-corner 128 x 8 and 160 x 10 from Householder QR
+    @pytest.mark.parametrize("dim, k", [(450, 5), (200, 6), (128, 8), (160, 10)])
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_narrow_frame_applied_implicitly_equals_the_formed_frame(self, dim, k, complex_field):
-        # P (R^-1 c2) with R from cholesky(P* P) against W c2 with W formed by _haar_complement, same normals
+    def test_frame_applied_implicitly_equals_the_formed_frame(self, dim, k, complex_field):
+        # P (R^-1 c2) against W c2 with W the formed phase-fixed Q of P, same normals
         x = random_stiefel(dim, k, np.random.default_rng(dim + k), complex_field).matrix
         rng, replay_rng = np.random.default_rng(7), np.random.default_rng(7)
         got = stiefel._action_columns(x, 1.0, CANONICAL, rng, 3)
         diag, sub, blocks = stiefel._krylov_coordinates(dim, k, complex_field, 1.0, CANONICAL, replay_rng)
         width = min(blocks * k, dim) - k
-        assert 0 < 2 * width <= dim - k
-        w = stiefel._haar_complement(x, width, replay_rng)
+        w = formed_frame(x, width, replay_rng)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         t = stiefel._block_tridiagonal(diag[:blocks], sub, width + k)
         for step, point in enumerate(got, start=1):
             c = stiefel.matrix_exp(step / 3 * t)[:, :k]
             assert np.abs(point - (x @ c[:k] + w @ c[k:])).max() < 1e-13
 
-    def test_square_frame_is_formed_where_cholesky_breaks_down(self):
+    def test_square_frame_takes_householder_r_where_cholesky_breaks_down(self):
         # 128 x 8 keeps every block, so P = (I - X X*) N is square in the complement of X, and its condition
         # number has a heavy tail: 2.3e8 at this seed, one in about 160 000, where cond(P)^2 exceeds 1 / u
-        # and cholesky(P* P) raises. The formed Householder frame still gives an orthonormal point.
+        # and cholesky(P* P) raises. R from the Householder QR of P still gives an orthonormal point.
         dim, k, seed = 128, 8, 156248
         x = random_stiefel(dim, k, np.random.default_rng(dim + k)).matrix
         rng, replay_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         (point,) = stiefel._action_columns(x, 1.0, CANONICAL, rng)
-        _, _, blocks = stiefel._krylov_coordinates(dim, k, False, 1.0, CANONICAL, replay_rng)
+        diag, sub, blocks = stiefel._krylov_coordinates(dim, k, False, 1.0, CANONICAL, replay_rng)
         assert blocks * k == dim
-        assert np.linalg.cond(stiefel._projected_normals(x, dim - k, replay_rng)) > 1e8
+        p = stiefel._projected_normals(x, dim - k, copy.deepcopy(replay_rng))
+        assert np.linalg.cond(p) > 1e8
         assert np.linalg.norm(point.T @ point - np.eye(k)) < 1e-12
+        w = formed_frame(x, dim - k, replay_rng)
+        c = stiefel.matrix_exp(stiefel._block_tridiagonal(diag, sub, dim))[:, :k]
+        assert np.abs(point - (x @ c[:k] + w @ c[k:])).max() < 1e-13
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("steps", [1, 20])
@@ -723,10 +728,10 @@ class TestKrylovDraw:
         assert 0 < counting.drawn < parts * 450**2 / 4
 
     @pytest.mark.parametrize("complex_field", [False, True])
-    def test_haar_complement_is_the_positive_qr_of_the_projected_gaussian(self, complex_field):
+    def test_formed_frame_is_the_positive_qr_of_the_projected_gaussian(self, complex_field):
         x = random_stiefel(200, 6, np.random.default_rng(12), complex_field).matrix
         rng, replay_rng = np.random.default_rng(13), np.random.default_rng(13)
-        w = stiefel._haar_complement(x, 30, rng)
+        w = formed_frame(x, 30, rng)
         n = replay_rng.standard_normal((200, 30))
         if complex_field:
             n = n + 1j * replay_rng.standard_normal((200, 30))
