@@ -22,6 +22,8 @@ __all__ = [
     "functional_boxplot",
 ]
 
+_MBD_BLOCK = 64  # time points per sort in mbd: sorting all of them at once takes 7x the ensemble's bytes
+
 
 @dataclass(frozen=True)
 class FunctionalEnsemble:
@@ -67,6 +69,8 @@ def mbd(ens: FunctionalEnsemble) -> np.ndarray:
     min(y_i, y_j) <= y_c <= max(y_i, y_j), boundaries inclusive and the
     curve's own pairs included. Values lie in [0, 1]; a curve inside
     every band (e.g. either curve of a two-curve ensemble) has depth 1.
+    Time points are sorted 64 at a time; a run of tied values (-0.0 and 0.0
+    tie) shares its counts below and above, so depths are exact int64 counts.
 
     Raises:
         ValueError: for fewer than 2 curves (no band exists).
@@ -77,18 +81,19 @@ def mbd(ens: FunctionalEnsemble) -> np.ndarray:
         raise ValueError(f"band depth needs at least 2 curves, got {k}")
     n_pairs = k * (k - 1) // 2
 
-    # Per column, count how many curves sit strictly below / above each
-    # value; pairs that fail to contain the value are exactly those
-    # drawn entirely from one side. Ties are inclusive by construction.
-    # The counts are integers, so their int64 total is exact in any order.
-    total = np.zeros(k, dtype=np.int64)
-    for col in range(t):
-        vals = curves[:, col]
-        order = np.sort(vals)
-        below = np.searchsorted(order, vals, side="left")
-        above = k - np.searchsorted(order, vals, side="right")
-        total += n_pairs - below * (below - 1) // 2 - above * (above - 1) // 2
-    return total / (t * n_pairs)
+    # a value misses the bands of pairs drawn wholly below or above it; a run ends where the next starts
+    missed = np.zeros(k, dtype=np.int64)
+    rank = np.arange(k)[:, None]
+    for block in np.split(curves, range(_MBD_BLOCK, t, _MBD_BLOCK), axis=1):
+        order = np.argsort(block, axis=0)
+        ranked = np.take_along_axis(block, order, axis=0)
+        starts = np.insert(ranked[1:] != ranked[:-1], 0, True, axis=0)
+        below = np.maximum.accumulate(np.where(starts, rank, 0), axis=0)
+        above = k - 1 - np.minimum.accumulate(np.where(np.roll(starts, -1, axis=0), rank, k)[::-1], 0)[::-1]
+        pairs = np.empty_like(order)
+        np.put_along_axis(pairs, order, below * (below - 1) // 2 + above * (above - 1) // 2, axis=0)
+        missed += pairs.sum(axis=1)
+    return (t * n_pairs - missed) / (t * n_pairs)
 
 
 def functional_boxplot(
@@ -109,9 +114,9 @@ def functional_boxplot(
     proportions = tuple(proportions)
     if not proportions:
         raise ValueError("need at least one proportion")
-    for p in proportions:
-        if not 0.0 < p <= 1.0:
-            raise ValueError(f"proportions must lie in (0, 1], got {p}")
+    for i, p in enumerate(proportions):
+        if not 0.0 < p <= 1.0 or p in proportions[:i]:
+            raise ValueError(f"proportions must be distinct and lie in (0, 1], got {p} in {list(proportions)}")
 
     curves = ens.curves
     k = curves.shape[0]

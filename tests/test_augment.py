@@ -105,17 +105,20 @@ class TestStiefelgenMatrix:
     def test_u_only_leaves_v_untouched(self, rng):
         mat = sine_matrix()
         cfg = AugmentConfig(beta_u=0.4, beta_v=0.0)
-        replay_rng = copy.deepcopy(rng)
+        replay_rng, public_rng = copy.deepcopy(rng), copy.deepcopy(rng)
         out = stiefelgen_matrix(mat, cfg, rng)
         u1, s, v1 = input_factors(mat)
         k = s.shape[0]
         # the V direction collapsed to zero, so the reconstruction uses V1
-        # bitwise: replaying the U retraction reproduces it exactly
-        (u_pt, du), (_, dv) = public_replay(mat, cfg, replay_rng)
+        # bitwise: replaying the square draw's U retraction reproduces it exactly
+        (u_pt, du), (_, dv) = factor_replay(mat, cfg, replay_rng, square_tangent)
         assert not np.any(dv.delta)
         u2 = exp_map(u_pt, du).matrix
         want = (u2[:, :k] * s) @ v1[:, :k].T
         assert np.array_equal(out, want)
+        # the public route's U retraction gives the same output up to rounding
+        (u_pt, du), _ = factor_replay(mat, cfg, public_rng)
+        assert np.abs(out - (exp_map(u_pt, du).matrix[:, :k] * s) @ v1[:, :k].T).max() <= 1e-13
         # V-basis quantities are untouched up to rounding
         assert np.abs(out.T @ out - mat.T @ mat).max() < 1e-8
 
@@ -124,7 +127,7 @@ class TestStiefelgenMatrix:
         cfg = AugmentConfig(beta_u=0.0, beta_v=0.4)
         replay_rng = copy.deepcopy(rng)
         out = stiefelgen_matrix(mat, cfg, rng)
-        (_, du), _ = public_replay(mat, cfg, replay_rng)
+        (_, du), _ = factor_replay(mat, cfg, replay_rng)
         assert not np.any(du.delta)
         assert np.abs(out @ out.T - mat @ mat.T).max() < 1e-8
 
@@ -132,15 +135,18 @@ class TestStiefelgenMatrix:
         # the V direction collapses to zero, the retraction short-circuits
         mat = sine_matrix()
         cfg = AugmentConfig(beta_u=0.3, beta_v=0.0)
-        replay_rng = copy.deepcopy(rng)
+        replay_rng, public_rng = copy.deepcopy(rng), copy.deepcopy(rng)
         out = stiefelgen_matrix(mat, cfg, rng)
         u1, s, v1 = input_factors(mat)
         k = s.shape[0]
-        (u_pt, du), (v_pt, dv) = public_replay(mat, cfg, replay_rng)
+        (u_pt, du), (v_pt, dv) = factor_replay(mat, cfg, replay_rng, square_tangent)
         assert not np.any(dv.delta)
         assert exp_map(v_pt, dv) is v_pt
         u2 = exp_map(u_pt, du).matrix
         assert np.array_equal(out, (u2[:, :k] * s) @ v1[:, :k].T)
+        (u_pt, du), (v_pt, dv) = factor_replay(mat, cfg, public_rng)
+        assert exp_map(v_pt, dv) is v_pt
+        assert np.abs(out - (exp_map(u_pt, du).matrix[:, :k] * s) @ v1[:, :k].T).max() <= 1e-13
 
     def test_deterministic(self):
         mat = sine_matrix()
@@ -354,18 +360,41 @@ def wide_page(complex_field):
     return mat + 1j * r.standard_normal((5, 300)) if complex_field else mat
 
 
-def public_replay(mat, cfg, rng):
-    """Factor points and scaled tangents of mat through the public sample -> scale steps, U then V."""
+def public_tangent(pt, beta, metric, rng):
+    """A factor's scaled tangent through the public steps random_tangent -> normalize_and_scale."""
+    return normalize_and_scale(pt, random_tangent(pt, rng), beta, metric)
+
+
+def square_tangent(pt, beta, metric, rng):
+    """A square factor's scaled tangent as the program draws it, written out.
+
+    The normals G of random_tangent, then A = skew(U* G) scaled to the alpha-norm
+    sqrt(1 - c) ||A||_F = beta * 0.89 pi, handed over as U A; beta = 0 gives the zero tangent.
+    """
+    u = pt.matrix
+    g = rng.standard_normal(u.shape)
+    if pt.is_complex:
+        g = g + 1j * rng.standard_normal(u.shape)
+    if beta == 0.0:
+        return TangentVector(np.zeros_like(g), pt)
+    x = u.conj().T @ g
+    a = (x - x.conj().T) / 2.0
+    norm = np.sqrt(1.0 - metric.weight_coefficient) * np.linalg.norm(a)
+    return TangentVector(u @ (a * (beta * INJECTIVITY_RADIUS / norm)), pt)
+
+
+def factor_replay(mat, cfg, rng, draw=public_tangent):
+    """Factor points and scaled tangents of mat, U then V, each tangent drawn by draw."""
     u1, _, v1h = np.linalg.svd(mat, full_matrices=True)
     points = StiefelPoint(u1), StiefelPoint(v1h.conj().T)
     betas = cfg.beta_u, cfg.beta_v
-    return [(p, normalize_and_scale(p, random_tangent(p, rng), b, cfg.metric)) for p, b in zip(points, betas)]
+    return [(p, draw(p, b, cfg.metric, rng)) for p, b in zip(points, betas)]
 
 
-def ambient_replay(factors, cfg, rng):
-    """A wide action page's draw through the public steps, U then V, as factor points and scaled tangents.
+def ambient_replay(factors, cfg, rng, draw=public_tangent):
+    """A wide action page's draw, U then V, as factor points and scaled tangents.
 
-    U is square and goes through random_tangent -> normalize_and_scale. V's draw is replayed in its
+    U is square and its tangent is drawn by draw. V's draw is replayed in its
     order: the Krylov coordinates T of the generator from the thin V1 (every block, the dropped
     ones too), then the frame W past V1. The generator A = M T M* on a unitary completion
     M = [V1, W, W'] is carried to a square completion V of V1 as the tangent V (V* A V), whose
@@ -373,7 +402,7 @@ def ambient_replay(factors, cfg, rng):
     """
     u1, _, v1 = factors
     u_pt = StiefelPoint(u1)
-    du = normalize_and_scale(u_pt, random_tangent(u_pt, rng), cfg.beta_u, cfg.metric)
+    du = draw(u_pt, cfg.beta_u, cfg.metric, rng)
     dim, k = v1.shape
     diag, sub, blocks = stiefel._krylov_coordinates(dim, k, np.iscomplexobj(v1), cfg.beta_v, cfg.metric, rng)
     frame = np.hstack([v1, formed_frame(v1, min(blocks * k, dim) - k, rng)])
@@ -425,14 +454,18 @@ class TestWidePageSkewDraw:
     def test_zero_beta_gives_base_columns_bitwise(self):
         mat = wide_page(False)
         cfg = AugmentConfig(beta_u=0.5, beta_v=0.0)
-        rng, replay_rng = np.random.default_rng(47), np.random.default_rng(47)
+        rng, replay_rng, public_rng = (np.random.default_rng(47) for _ in range(3))
         out = stiefelgen_matrix(mat, cfg, rng)
         u1, s, v1 = input_factors(mat, thin=True)
-        (u_pt, du), (_, dv) = ambient_replay((u1, s, v1), cfg, replay_rng)
+        (u_pt, du), (_, dv) = ambient_replay((u1, s, v1), cfg, replay_rng, square_tangent)
         assert rng.bit_generator.state == replay_rng.bit_generator.state
         assert not np.any(dv.delta)
         u2 = exp_map(u_pt, du).matrix
         assert np.array_equal(out, (u2 * s) @ v1.conj().T)
+        # the 5 x 5 U through the public route gives the same output up to rounding
+        (u_pt, du), _ = ambient_replay((u1, s, v1), cfg, public_rng)
+        assert public_rng.bit_generator.state == rng.bit_generator.state
+        assert np.abs(out - (exp_map(u_pt, du).matrix * s) @ v1.conj().T).max() <= 1e-13
 
 
 class TestAmbientDrawLaw:

@@ -466,6 +466,17 @@ class TestOtherCommands:
         assert len(err) == 1 and "fence_factor must be finite and >= 0" in err[0]
         assert not out.exists()
 
+    def test_fboxplot_duplicate_proportions_is_domain_error(self, tmp_path, capsys):
+        # 0.5 and 0.50 are one envelope, so the summary could not list both
+        inp = tmp_path / "curves.csv"
+        io.write_columns(inp, np.random.default_rng(0).standard_normal((40, 5)))
+        out = tmp_path / "box.json"
+        code = main(["fboxplot", "--in", str(inp), "--out", str(out), "--proportions", "0.5,0.50,0.75"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "proportions must be distinct" in err[0]
+        assert not out.exists()
+
     def test_fboxplot_summary(self, tmp_path, rng):
         curves = np.sin(np.linspace(0, 5, 40)) + 0.1 * rng.standard_normal((9, 40))
         inp = tmp_path / "curves.csv"

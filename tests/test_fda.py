@@ -1,13 +1,14 @@
 """Tests for modified band depth and functional boxplots."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stiefelgen.fda import FunctionalEnsemble, functional_boxplot, mbd
+from stiefelgen.fda import _MBD_BLOCK, FunctionalEnsemble, functional_boxplot, mbd
 
 
 def brute_force_mbd(curves: np.ndarray) -> np.ndarray:
@@ -63,11 +64,43 @@ class TestMbd:
         ens = FunctionalEnsemble(curves)
         assert np.abs(mbd(ens) - brute_force_mbd(curves)).max() < 1e-12
 
-    @given(k=st.integers(2, 8), t=st.integers(1, 25), seed=st.integers(0, 10_000))
+    # t runs past two blocks of time points, so draws span block boundaries
+    @given(k=st.integers(2, 8), t=st.integers(1, 2 * _MBD_BLOCK + 10), seed=st.integers(0, 10_000))
     @settings(max_examples=120, deadline=None)
     def test_oracle_equivalence_property(self, k, t, seed):
         curves = np.random.default_rng(seed).standard_normal((k, t))
         assert np.abs(mbd(FunctionalEnsemble(curves)) - brute_force_mbd(curves)).max() < 1e-12
+
+    @pytest.mark.parametrize("t", [1, _MBD_BLOCK - 1, _MBD_BLOCK, _MBD_BLOCK + 1, 2 * _MBD_BLOCK + 3])
+    @pytest.mark.parametrize("k", [2, 500])
+    @pytest.mark.parametrize("kind", ["normal", "integer ties", "signed zeros", "constant columns"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocks_equal_float_counts_bitwise(self, t, k, kind, order):
+        r = np.random.default_rng(t * 1009 + k)
+        curves = r.standard_normal((k, t))
+        if kind == "integer ties":
+            curves = r.integers(0, 3, size=(k, t)).astype(float)
+        elif kind == "signed zeros":
+            # -0.0 == 0.0, so each zero ties with every other zero of its column
+            curves[r.random((k, t)) < 0.5] = 0.0
+            curves[r.random((k, t)) < 0.3] = -0.0
+        elif kind == "constant columns":
+            curves[:, ::3] = 1.5
+        curves = np.asarray(curves, order=order)
+        ens = FunctionalEnsemble(curves)
+        assert ens.curves.flags[f"{order}_CONTIGUOUS"]
+        assert np.array_equal(mbd(ens), float_count_mbd(curves))
+
+    def test_peak_memory_is_a_fraction_of_the_ensemble(self):
+        # the ensemble workflow's size; sorting every time point at once needs several times its bytes
+        ens = FunctionalEnsemble(np.random.default_rng(6).standard_normal((500, 2000)))
+        tracemalloc.start()
+        try:
+            mbd(ens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * ens.curves.nbytes
 
     def test_values_in_unit_interval(self, rng):
         depths = mbd(FunctionalEnsemble(rng.standard_normal((12, 30))))
@@ -146,6 +179,12 @@ class TestFunctionalBoxplot:
         ens = FunctionalEnsemble(rng.standard_normal((5, 5)))
         with pytest.raises(ValueError, match="proportions"):
             functional_boxplot(ens, proportions=(0.0,))
+
+    def test_rejects_duplicate_proportions(self, rng):
+        # a duplicate would be reported once among the envelopes but twice among the proportions
+        ens = FunctionalEnsemble(rng.standard_normal((5, 5)))
+        with pytest.raises(ValueError, match="proportions must be distinct"):
+            functional_boxplot(ens, proportions=(0.5, 0.50, 0.75))
 
     @pytest.mark.parametrize("fence", [np.nan, np.inf, -np.inf, -5.0, -1e-12])
     def test_rejects_non_finite_or_negative_fence(self, rng, fence):

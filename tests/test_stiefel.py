@@ -292,6 +292,29 @@ class TestNormalizeAndScale:
             normalize_and_scale(pt, zero, 0.5)
 
 
+class TestSquareTangent:
+    """At a square base the scaled tangent is U skew(U* G) from one product; the public route is the oracle."""
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("n", [2, 5, 40, 50])
+    @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
+    def test_matches_public_route(self, complex_field, n, alpha, beta):
+        metric = MetricParams(alpha)
+        pt = random_stiefel(n, n, np.random.default_rng(n), complex_field)
+        rng, public_rng = np.random.default_rng(7), np.random.default_rng(7)
+        d = stiefel._square_tangent(pt, beta, metric, rng)
+        want = normalize_and_scale(pt, random_tangent(pt, public_rng), beta, metric)
+        assert rng.bit_generator.state == public_rng.bit_generator.state
+        assert d.delta.dtype == want.delta.dtype
+        assert np.linalg.norm(d.delta - want.delta) <= 1e-14 * max(1.0, np.linalg.norm(want.delta))
+        # the package builds it unchecked; the tangency check accepts it
+        checked = TangentVector(d.delta, pt)
+        assert abs(tangent_norm(pt, checked, metric) - beta * INJECTIVITY_RADIUS) < 1e-12
+        if beta == 0.0:
+            assert not np.any(d.delta) and exp_map(pt, d, metric) is pt
+
+
 class TestMatrixExp:
     def test_exp_of_zero_is_identity(self):
         assert np.array_equal(matrix_exp(np.zeros((4, 4))), np.eye(4))
