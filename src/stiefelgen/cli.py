@@ -143,9 +143,9 @@ def _cmd_dmd_ensemble(args) -> int:
         raise UsageError(f"--spatial-index must lie in [0, {snaps.n_space}), got {index}")
     times = np.arange(snaps.n_time) * snaps.dt
     members = ensemble_forecast(
-        snaps, args.rank, args.beta, args.count, times, np.random.default_rng(args.seed)
+        snaps, args.rank, args.beta, args.count, times, np.random.default_rng(args.seed), spatial_index=index
     )
-    io.write_columns(args.out, members[:, index, :].T)
+    io.write_columns(args.out, members.T)
     _summary(
         f"dmd-ensemble: {args.count} members, rank={args.rank}, beta={args.beta}, "
         f"slice={index}, seed={args.seed}"
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except (UsageError, OSError, io.CsvParseError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         status = 2
-    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
     finally:
         if status:  # a failed run leaves none of the output files it created

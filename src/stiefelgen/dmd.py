@@ -159,11 +159,22 @@ def perturbed_fit(
     return _perturbed_model(snaps, _truncate(snaps, rank), beta, rng)
 
 
-def forecast(model: DmdModel, times) -> np.ndarray:
-    """Complex M x len(times) prediction: Phi diag(exp(omega t)) b per column."""
+def _check_spatial_index(spatial_index, n_space: int) -> None:
+    if spatial_index is not None and not 0 <= spatial_index < n_space:
+        raise ValueError(f"spatial_index must lie in [0, {n_space}), got {spatial_index}")
+
+
+def forecast(model: DmdModel, times, spatial_index=None) -> np.ndarray:
+    """Complex M x len(times) prediction: Phi diag(exp(omega t)) b per column.
+
+    An int spatial_index returns that row alone, cut from the full product:
+    a one-row product takes another BLAS kernel, which can round differently.
+    """
+    _check_spatial_index(spatial_index, model.modes.shape[0])
     times = np.asarray(times, dtype=np.float64)
     dynamics = np.exp(np.outer(model.omegas, times)) * model.amplitudes[:, None]
-    return model.modes @ dynamics
+    field = model.modes @ dynamics
+    return field if spatial_index is None else field[spatial_index].copy()
 
 
 def ensemble_forecast(
@@ -173,24 +184,28 @@ def ensemble_forecast(
     count: int,
     times,
     rng: np.random.Generator,
+    spatial_index=None,
 ) -> np.ndarray:
     """Real parts of `count` independently perturbed forecasts.
 
     Returns an array of shape (count, M, len(times)); member k equals
     perturbed_fit on the k-th child stream spawned from rng, so the
     ensemble is deterministic per seed. The truncated SVD is computed
-    once and shared by all members. Use slice_ensemble to view one
-    spatial location as a FunctionalEnsemble.
+    once and shared by all members. An int spatial_index returns the
+    (count, len(times)) slice at that location alone, bitwise, without
+    holding the full array: use it when one location is read, and
+    slice_ensemble on the full array when several are.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_beta(beta)
+    _check_spatial_index(spatial_index, snaps.n_space)
     factors = _truncate(snaps, rank)
     times = np.asarray(times, dtype=np.float64)
-    out = np.empty((count, snaps.n_space, times.shape[0]))
+    out = np.empty((count, snaps.n_space, len(times)) if spatial_index is None else (count, len(times)))
     for member, child in enumerate(rng.spawn(count)):
         model = _perturbed_model(snaps, factors, beta, child)
-        out[member] = forecast(model, times).real
+        out[member] = forecast(model, times, spatial_index).real
     return out
 
 

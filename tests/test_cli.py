@@ -18,8 +18,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stiefelgen
-from stiefelgen import io
+from stiefelgen import cli, io
 from stiefelgen.cli import build_parser, main
+from stiefelgen.dmd import ensemble_forecast, synth_spatiotemporal
 from stiefelgen.signal import TimeSeries
 
 
@@ -402,8 +403,6 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("index", ["5000", "400", "-1"])
     def test_dmd_ensemble_spatial_index_out_of_range(self, tmp_path, index, monkeypatch, capsys):
-        from stiefelgen import cli
-
         def not_reached(*args, **kwargs):
             raise AssertionError("the ensemble was computed before the index check")
 
@@ -416,6 +415,52 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--spatial-index" in err[0]
         assert not (tmp_path / "ens.csv").exists()
+
+    @pytest.mark.parametrize("index", [None, "0"])
+    def test_dmd_ensemble_writes_the_full_fields_slice(self, tmp_path, index):
+        out, want = tmp_path / "ens.csv", tmp_path / "want.csv"
+        flags = [] if index is None else ["--spatial-index", index]
+        code = main(
+            ["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--beta", "0.3", "--count", "4",
+             "--seed", "3", *flags, "--out", str(out)]
+        )
+        assert code == 0
+        x = np.linspace(-10.0, 10.0, cli.WAVES_X_POINTS)
+        snaps = synth_spatiotemporal(x, np.linspace(0.0, cli.WAVES_T_SPAN, cli.WAVES_T_POINTS))
+        times = np.arange(snaps.n_time) * snaps.dt
+        full = ensemble_forecast(snaps, 2, 0.3, 4, times, np.random.default_rng(3))
+        io.write_columns(want, full[:, 200 if index is None else int(index), :].T)
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_dmd_ensemble_peak_memory_is_not_the_field(self, tmp_path):
+        # 30 members of the 400 x 200 field would be 19.2 MB; only the written slice is held
+        tracemalloc.start()
+        try:
+            code = main(
+                ["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--beta", "0.2", "--count", "30",
+                 "--seed", "1", "--out", str(tmp_path / "ens.csv")]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 0.5 * 30 * 400 * 200 * 8
+
+    # outputs of over a PiB, above the 128 TiB user address space: the allocation fails at once on
+    # any host, before a child generator is spawned
+    @pytest.mark.parametrize(
+        "argv",
+        [["batch", "--rows", "20", "--count", "1000000000000"],
+         ["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--count", "1000000000000"]],
+        ids=["batch", "dmd-ensemble"],
+    )
+    def test_unallocatable_count_is_one_line_error(self, tmp_path, signal_csv, argv, capsys):
+        out = tmp_path / "out.csv"
+        inp = ["--in", str(signal_csv[0])] if argv[0] == "batch" else []
+        assert main([*argv, *inp, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "Unable to allocate" in err[0]
+        assert not out.exists()
 
     def test_dmd_fit_zero_eigenvalue_is_domain_error(self, tmp_path, capsys):
         inp = tmp_path / "snaps.csv"
@@ -611,8 +656,6 @@ class TestShmDemo:
         assert not out.exists()
 
     def test_track_index_out_of_range_is_usage_error(self, tmp_path, monkeypatch, capsys):
-        from stiefelgen import cli
-
         def not_reached(*args, **kwargs):
             raise AssertionError("the ranking loop ran before the index check")
 

@@ -121,6 +121,21 @@ class TestForecast:
         f3 = forecast(fit_dmd(scaled, rank=2), t[:10])
         assert np.abs(f3 - 3.0 * f1).max() < 1e-6 * np.abs(f1).max()
 
+    def test_slice_is_the_full_fields_row_bitwise(self):
+        # T = 50: a one-row product takes another BLAS kernel, which can round differently here
+        snaps, _, t = waves_fixture(60, 50)
+        for model in (fit_dmd(snaps, 2), perturbed_fit(snaps, 2, 0.3, np.random.default_rng(2))):
+            full = forecast(model, t)
+            for i in (0, 30, 59):
+                row = forecast(model, t, spatial_index=i)
+                assert row.shape == (50,) and np.array_equal(row, full[i])
+
+    @pytest.mark.parametrize("index", [-1, 60])
+    def test_rejects_out_of_range_spatial_index(self, index):
+        snaps, _, t = waves_fixture(60, 50)
+        with pytest.raises(ValueError, match=rf"spatial_index must lie in \[0, 60\), got {index}"):
+            forecast(fit_dmd(snaps, 2), t, spatial_index=index)
+
 
 class TestPerturbedFit:
     def test_beta_zero_matches_unperturbed(self):
@@ -186,6 +201,13 @@ class TestEnsembleForecast:
             want = forecast(perturbed_fit(snaps, 2, 0.3, rng=child), t).real
             assert np.array_equal(members[k], want)
 
+    @pytest.fixture
+    def no_svd(self, monkeypatch):
+        def svd(*args, **kwargs):
+            raise AssertionError("the shared SVD was computed before the arguments were checked")
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+
     @pytest.mark.parametrize(
         "rank, beta, count, message",
         [
@@ -194,15 +216,32 @@ class TestEnsembleForecast:
             (2, 0.2, 0, "count must be >= 1, got 0"),
         ],
     )
-    def test_rejects_bad_arguments(self, rank, beta, count, message, monkeypatch):
+    def test_rejects_bad_arguments(self, rank, beta, count, message, no_svd):
         snaps, _, t = waves_fixture(60, 50)
-
-        def no_svd(*args, **kwargs):
-            raise AssertionError("the shared SVD was computed before the arguments were checked")
-
-        monkeypatch.setattr(np.linalg, "svd", no_svd)
         with pytest.raises(ValueError, match=message):
             ensemble_forecast(snaps, rank, beta, count, t, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("index", [-1, 60])
+    def test_rejects_out_of_range_spatial_index(self, index, no_svd):
+        # the same check as test_rejects_bad_arguments, for the spatial index M = 60
+        snaps, _, t = waves_fixture(60, 50)
+        with pytest.raises(ValueError, match=rf"spatial_index must lie in \[0, 60\), got {index}"):
+            ensemble_forecast(snaps, 2, 0.2, 3, t, np.random.default_rng(0), spatial_index=index)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.3])
+    @pytest.mark.parametrize("count", [1, 4, 7])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_slice_is_the_full_ensembles_slice_bitwise(self, rank, count, beta):
+        # T = 50 and rank 3 on noisy snapshots: where a one-row product can round differently
+        snaps, _, t = waves_fixture(60, 50)
+        if rank == 3:
+            noise = 1e-3 * np.random.default_rng(10).standard_normal(snaps.data.shape)
+            snaps = SnapshotMatrix(snaps.data + noise, snaps.dt)
+        full = ensemble_forecast(snaps, rank, beta, count, t, np.random.default_rng(11))
+        for i in (0, 30, 59):
+            part = ensemble_forecast(snaps, rank, beta, count, t, np.random.default_rng(11), spatial_index=i)
+            assert part.shape == (count, 50)
+            assert np.array_equal(part, full[:, i, :])
 
     def test_slice_view(self):
         snaps, _, t = waves_fixture(60, 50)
