@@ -347,8 +347,10 @@ def main(argv=None) -> int:
     except (UsageError, OSError, io.CsvParseError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         status = 2
-    except (ValueError, RuntimeError, ArithmeticError, MemoryError, np.linalg.LinAlgError) as exc:
+    except (ValueError, RuntimeError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # numpy's names the allocation; a bare one from Python has no message
+        print(f"{parser.prog}: {str(exc) or 'out of memory'}", file=sys.stderr)
     finally:
         if status:  # a failed run leaves none of the output files it created
             for path in filter(os.path.lexists, created):

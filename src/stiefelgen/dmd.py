@@ -159,22 +159,11 @@ def perturbed_fit(
     return _perturbed_model(snaps, _truncate(snaps, rank), beta, rng)
 
 
-def _check_spatial_index(spatial_index, n_space: int) -> None:
-    if spatial_index is not None and not 0 <= spatial_index < n_space:
-        raise ValueError(f"spatial_index must lie in [0, {n_space}), got {spatial_index}")
-
-
-def forecast(model: DmdModel, times, spatial_index=None) -> np.ndarray:
-    """Complex M x len(times) prediction: Phi diag(exp(omega t)) b per column.
-
-    An int spatial_index returns that row alone, cut from the full product:
-    a one-row product takes another BLAS kernel, which can round differently.
-    """
-    _check_spatial_index(spatial_index, model.modes.shape[0])
+def forecast(model: DmdModel, times) -> np.ndarray:
+    """Complex M x len(times) prediction: Phi diag(exp(omega t)) b per column."""
     times = np.asarray(times, dtype=np.float64)
     dynamics = np.exp(np.outer(model.omegas, times)) * model.amplitudes[:, None]
-    field = model.modes @ dynamics
-    return field if spatial_index is None else field[spatial_index].copy()
+    return model.modes @ dynamics
 
 
 def ensemble_forecast(
@@ -199,13 +188,15 @@ def ensemble_forecast(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_beta(beta)
-    _check_spatial_index(spatial_index, snaps.n_space)
+    if spatial_index is not None and not 0 <= spatial_index < snaps.n_space:
+        raise ValueError(f"spatial_index must lie in [0, {snaps.n_space}), got {spatial_index}")
     factors = _truncate(snaps, rank)
     times = np.asarray(times, dtype=np.float64)
+    rows = slice(None) if spatial_index is None else spatial_index
     out = np.empty((count, snaps.n_space, len(times)) if spatial_index is None else (count, len(times)))
     for member, child in enumerate(rng.spawn(count)):
         model = _perturbed_model(snaps, factors, beta, child)
-        out[member] = forecast(model, times, spatial_index).real
+        out[member] = forecast(model, times).real[rows]  # no name keeps the M x T field past its member
     return out
 
 

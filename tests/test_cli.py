@@ -447,19 +447,23 @@ class TestOtherCommands:
         assert peak <= 0.5 * 30 * 400 * 200 * 8
 
     # outputs of over a PiB, above the 128 TiB user address space: the allocation fails at once on
-    # any host, before a child generator is spawned
+    # any host, before a child generator is spawned. A MemoryError raised by Python itself, not
+    # numpy, carries no message ("bare").
     @pytest.mark.parametrize(
-        "argv",
-        [["batch", "--rows", "20", "--count", "1000000000000"],
-         ["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--count", "1000000000000"]],
-        ids=["batch", "dmd-ensemble"],
+        "argv, message",
+        [(["batch", "--rows", "20", "--count", "1000000000000"], "Unable to allocate"),
+         (["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--count", "1000000000000"], "Unable to allocate"),
+         (["dmd-ensemble", "--fixture", "waves", "--rank", "2"], "stiefelgen: out of memory")],
+        ids=["batch", "dmd-ensemble", "bare"],
     )
-    def test_unallocatable_count_is_one_line_error(self, tmp_path, signal_csv, argv, capsys):
+    def test_unallocatable_count_is_one_line_error(self, tmp_path, signal_csv, argv, message, monkeypatch, capsys):
+        if message.endswith("out of memory"):
+            monkeypatch.setattr(cli, "ensemble_forecast", mock.Mock(side_effect=MemoryError()))
         out = tmp_path / "out.csv"
         inp = ["--in", str(signal_csv[0])] if argv[0] == "batch" else []
         assert main([*argv, *inp, "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "Unable to allocate" in err[0]
+        assert len(err) == 1 and message in err[0]
         assert not out.exists()
 
     def test_dmd_fit_zero_eigenvalue_is_domain_error(self, tmp_path, capsys):
