@@ -132,24 +132,24 @@ class _Factorization:
         if rank is not None and rank >= k:
             raise ValueError(f"rank must be < min(m, n) = {k}, got {rank}")
         dense = rank is None and not _takes_action(max(mat.shape), k)
-        self.u1, self.sigma, self.v1h = np.linalg.svd(mat, full_matrices=dense)
-        v1 = self.v1h.conj().T
-        self.cols = k if rank is None else rank
+        u1, sigma, v1h = np.linalg.svd(mat, full_matrices=dense)
+        d = self.cols = k if rank is None else rank
+        self.sigma = sigma[:d]
         # in full-rank mode only an action page's long side is non-square; [:, :None] keeps every column
         self.u, self.v = (
             f if rank is None and f.shape[0] > f.shape[1] else _built(StiefelPoint, f[:, :rank])
-            for f in (self.u1, v1)
+            for f in (u1, v1h.conj().T)
         )
+        # the untouched dyads past the rank, added to every reconstruction of a rank-mode draw
+        self.residual = (u1[:, d:k] * sigma[d:]) @ v1h[d:k, :] if d < k else None
 
     def path(self, cfg: AugmentConfig, rng: np.random.Generator, steps: int = 1) -> list:
         """Reconstructions along one draw at t = 1/steps, ..., 1; U's tangent is sampled first, then V's."""
-        d, k = self.cols, self.sigma.shape[0]
-        u_path = _factor_path(self.u, cfg.beta_u, cfg.metric, rng, d, steps)
-        v_path = _factor_path(self.v, cfg.beta_v, cfg.metric, rng, d, steps)
-        path = [(u_t * self.sigma[:d]) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
-        if d < k:
-            residual = (self.u1[:, d:k] * self.sigma[d:]) @ self.v1h[d:k, :]
-            path = [generated + residual for generated in path]
+        u_path = _factor_path(self.u, cfg.beta_u, cfg.metric, rng, self.cols, steps)
+        v_path = _factor_path(self.v, cfg.beta_v, cfg.metric, rng, self.cols, steps)
+        path = [(u_t * self.sigma) @ v_t.conj().T for u_t, v_t in zip(u_path, v_path)]
+        if self.residual is not None:
+            path = [generated + self.residual for generated in path]
         return path
 
 
@@ -248,8 +248,8 @@ def batch_generate(
     pm = to_page_matrix(series, m, strategy)
     fac = _Factorization(pm.data, cfg.rank)
     out = np.empty((count, min(pm.data.size, pm.original_length)))  # the length from_page_matrix returns
-    for row, child in enumerate(rng.spawn(count)):
-        out[row] = _unpage(fac.path(cfg, child)[0], pm, cfg.smooth_len).values
+    for row in range(count):  # one child held at a time, numbered as rng.spawn(count) numbers them
+        out[row] = _unpage(fac.path(cfg, rng.spawn(1)[0])[0], pm, cfg.smooth_len).values
     return _built(FunctionalEnsemble, out)
 
 
@@ -271,6 +271,8 @@ def ambient_perturb(
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     mat = np.asarray(mat)
+    if mat.ndim != 2:
+        raise ValueError(f"need a 2-d matrix, got shape {mat.shape}")
     # as in _Factorization: the SVD may not return for an infinite entry
     if not np.all(np.isfinite(mat)):
         raise ValueError("matrix has non-finite entries")

@@ -194,8 +194,8 @@ def _cmd_shm_demo(args) -> int:
 
     cfg = AugmentConfig(beta_u=args.beta, beta_v=args.beta, alpha=args.alpha)
     after = np.empty_like(pca.points)
-    for i, child in enumerate(perturb_rng.spawn(dataset.count)):
-        after[i] = pca.project(stiefelgen_matrix(dataset.observations[i], cfg, child))
+    for i in range(dataset.count):  # one child held at a time, numbered as spawn(count) numbers them
+        after[i] = pca.project(stiefelgen_matrix(dataset.observations[i], cfg, perturb_rng.spawn(1)[0]))
 
     ranking = norm_change_ranking(pca.points, after)
     candidate = adversarial_candidate(ranking, args.percentile)

@@ -194,8 +194,8 @@ def ensemble_forecast(
     times = np.asarray(times, dtype=np.float64)
     rows = slice(None) if spatial_index is None else spatial_index
     out = np.empty((count, snaps.n_space, len(times)) if spatial_index is None else (count, len(times)))
-    for member, child in enumerate(rng.spawn(count)):
-        model = _perturbed_model(snaps, factors, beta, child)
+    for member in range(count):  # one child held at a time, numbered as rng.spawn(count) numbers them
+        model = _perturbed_model(snaps, factors, beta, rng.spawn(1)[0])
         out[member] = forecast(model, times).real[rows]  # no name keeps the M x T field past its member
     return out
 

@@ -325,14 +325,12 @@ def normalize_and_scale(
 
 #: theta_m, the largest norm at which the degree-m Pade approximant to exp has
 #: backward error below unit roundoff, and its numerator coefficients b_0, ..., b_m
-#: (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Tables 2.3 and 2.2).
+#: (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Tables 2.3 and 2.2). Only degrees
+#: 7 and 13 are kept: degree 7 is built from exactly the powers A^2, A^4 and A^6
+#: that the norm estimate forms, and degree 13 from those plus two products.
 _PADE = {
-    3: (1.495585217958292e-2, np.array([120.0, 60.0, 12.0, 1.0])),
-    5: (2.539398330063230e-1, np.array([30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0])),
     7: (9.504178996162932e-1,
         np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0])),
-    9: (2.097847961257068, np.array([17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                                     30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0])),
     13: (5.371920351148152, np.array([64764752532480000.0, 32382376266240000.0,
                                       7771770303897600.0, 1187353796428800.0, 129060195264000.0,
                                       10559470521600.0, 670442572800.0, 33522128640.0,
@@ -344,15 +342,18 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix.
 
     Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-    2005): the lowest degree 3, 5, 7 or 9 whose theta_m covers A, else
-    degree 13 on A / 2^s followed by s squarings. The backward error
-    involves only even powers of A of order 2m and up, so A is measured
-    by max(||A^4||^(1/4), ||A^6||^(1/6)), from the Frobenius norms of
-    powers the approximant forms anyway (Al-Mohy & Higham, SIAM J. Matrix
-    Anal. Appl. 31, 2009, without their correction for strongly
-    non-normal input). For a skew A this sits near the spectral radius,
-    often far below ||A||. For skew-(Hermitian) input the result is
-    orthogonal/unitary to well below 1e-10.
+    2005): degree 7 if theta_7 covers A, else degree 13 on A / 2^s
+    followed by s squarings. The backward error involves only even powers
+    of A of order 2m and up, so A is measured by max(||A^4||^(1/4),
+    ||A^6||^(1/6)), from the Frobenius norms of powers the approximant
+    forms anyway (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009,
+    without their correction for strongly non-normal input). For a skew A
+    this sits near the spectral radius, often far below ||A||. Degree 7
+    uses exactly the I, A^2, A^4 and A^6 that estimate forms, so a lower
+    degree would save no product, and degree 9 would save one only for
+    theta_7 < eta <= theta_9; degree 13 reuses the same powers. For
+    skew-(Hermitian) input the result is orthogonal/unitary to well below
+    1e-10.
 
     Raises:
         ValueError: for non-square or non-finite input.
@@ -363,10 +364,8 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
     if not np.isfinite(s).all():
         raise ValueError("matrix has non-finite entries")
     n = s.shape[0]
-    if n == 0:
-        return np.zeros_like(s)
-    # even powers I, A^2, A^4, A^6, and A^8 for degree 9
-    pw = np.empty((5, n, n), dtype=np.result_type(s, 1.0))
+    # even powers I, A^2, A^4, A^6
+    pw = np.empty((4, n, n), dtype=np.result_type(s, 1.0))
     pw[0] = 0.0
     pw[0].flat[:: n + 1] = 1.0
     np.matmul(s, s, out=pw[1])
@@ -374,22 +373,19 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
     np.matmul(pw[2], pw[1], out=pw[3])
     # every even k >= 4 is 4i + 6j, so max(d4, d6) bounds ||A^k||^(1/k) for all of them
     eta = max(np.linalg.norm(pw[2]) ** (1 / 4), np.linalg.norm(pw[3]) ** (1 / 6))
-    m = next((m for m in (3, 5, 7, 9) if eta <= _PADE[m][0]), 13)
+    m = 7 if eta <= _PADE[7][0] else 13
     scale = 0
-    if m == 9:
-        np.matmul(pw[2], pw[2], out=pw[4])
-    elif m == 13:
+    if m == 13:
         scale = max(0, int(np.ceil(np.log2(eta / _PADE[13][0]))))
         if scale:
             s = s / 2.0**scale
-            pw[1:4] *= 0.25 ** (scale * np.arange(1.0, 4.0))[:, None, None]
+            pw[1:] *= 0.25 ** (scale * np.arange(1.0, 4.0))[:, None, None]
     b = _PADE[m][1]
-    k = 4 if m == 13 else m // 2 + 1
-    low = pw[:k].reshape(k, -1)
-    u = (b[1::2][:k] @ low).reshape(n, n)
-    v = (b[0::2][:k] @ low).reshape(n, n)
+    low = pw.reshape(4, n * n)
+    u = (b[1:8:2] @ low).reshape(n, n)
+    v = (b[0:8:2] @ low).reshape(n, n)
     if m == 13:
-        high = pw[1:4].reshape(3, -1)
+        high = pw[1:].reshape(3, n * n)
         u += pw[3] @ (b[9::2] @ high).reshape(n, n)
         v += pw[3] @ (b[8::2] @ high).reshape(n, n)
     u = s @ u

@@ -469,7 +469,10 @@ class TestWidePageSkewDraw:
 
 
 class TestAmbientDrawLaw:
-    """The Krylov-coordinate draw has the law of the public route, on a 4 x 160 action page.
+    """The Krylov-coordinate draw has the law of the public route, on a 4 x 128 action page.
+
+    At alpha = -0.5 the kept frame is narrow and R comes from Cholesky; at alpha = -0.25 and 0
+    it is wide and R comes from the phase-fixed QR, so both sources of R are tested.
 
     Four statistics of V's moved columns V2: the inner product of the first with the first
     singular vector, the change ||generated - input||_F, the first column's component along
@@ -492,9 +495,9 @@ class TestAmbientDrawLaw:
     def test_two_sample_ks_against_public_route(self):
         for complex_field, alpha, old_seed, new_seed in self.CASES:
             r = np.random.default_rng(61)
-            mat = r.standard_normal((4, 160))
+            mat = r.standard_normal((4, 128))
             if complex_field:
-                mat = mat + 1j * r.standard_normal((4, 160))
+                mat = mat + 1j * r.standard_normal((4, 128))
             cfg = AugmentConfig(beta_u=0.0, beta_v=1.0, alpha=alpha)
             u1, s, vh = np.linalg.svd(mat, full_matrices=True)
             v = vh.conj().T
@@ -641,6 +644,20 @@ class TestBatchGenerate:
             tracemalloc.stop()
         assert peak <= 1.5 * ens.curves.nbytes
 
+    def test_holds_one_child_generator_at_a_time(self):
+        # a child generator takes about 950 B, so on a 2 x 2 page holding all 400 of
+        # rng.spawn(400) at once would be most of the peak; one at a time is a few kB
+        series = TimeSeries(np.arange(4.0))
+        cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
+        batch_generate(series, 1, 2, cfg, np.random.default_rng(0))  # first-call allocations
+        tracemalloc.start()
+        try:
+            ens = batch_generate(series, 400, 2, cfg, np.random.default_rng(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - ens.curves.nbytes < 100 * 400
+
 
 class TestAmbientPerturb:
     def test_sigma_zero_is_identity(self, rng):
@@ -681,6 +698,17 @@ class TestAmbientPerturb:
     def test_rejects_negative_sigma(self, rng):
         with pytest.raises(ValueError, match="sigma"):
             ambient_perturb(sine_matrix(), -0.1, rng)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_rejects_a_non_matrix_before_the_svd(self, shape, rng):
+        # these reached the SVD or the reconstruction and failed there with a numpy message
+        with pytest.raises(ValueError, match="need a 2-d matrix") as err:
+            ambient_perturb(np.ones(shape), 0.1, rng)
+        assert f"got shape {shape}" in str(err.value)
+
+    def test_takes_a_single_row(self, rng):
+        mat = np.arange(1.0, 6.0)[None, :]
+        assert np.abs(ambient_perturb(mat, 0.0, rng) - mat).max() < 1e-12
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_entries_rejected_before_the_svd(self, value, rng, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for dynamic mode decomposition and perturbed forecasting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -185,6 +187,20 @@ class TestEnsembleForecast:
         for k, child in enumerate(np.random.default_rng(9).spawn(4)):
             want = forecast(perturbed_fit(snaps, 2, 0.3, rng=child), t).real
             assert np.array_equal(members[k], want)
+
+    def test_holds_one_child_generator_at_a_time(self):
+        # a child generator takes about 950 B, so on 3 x 3 snapshots with one time point
+        # holding all 300 of rng.spawn(300) at once would be most of the peak
+        snaps = synth_spatiotemporal(np.linspace(-5.0, 5.0, 3), np.linspace(0.0, 1.0, 3))
+        times = np.zeros(1)
+        ensemble_forecast(snaps, 1, 0.2, 1, times, np.random.default_rng(0), spatial_index=0)
+        tracemalloc.start()
+        try:
+            out = ensemble_forecast(snaps, 1, 0.2, 300, times, np.random.default_rng(2), spatial_index=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 100 * 300
 
     @pytest.fixture
     def no_svd(self, monkeypatch):

@@ -366,7 +366,10 @@ def _skew_with_one_norm(n: int, complex_field: bool, one_norm: float, rng) -> np
 class TestMatrixExpOracle:
     """The in-package Pade kernel against scipy.linalg.expm."""
 
-    THETAS = [theta for theta, _ in stiefel._PADE.values()]
+    # theta_m of the Pade degrees 3, 5, 7, 9 and 13 (Higham 2005, Table 2.3), written out rather than
+    # read from stiefel._PADE so the sweep covers every classic degree boundary, whichever the kernel uses
+    THETAS = [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068,
+              5.371920351148152]
     # 1-norms just below and above each theta_m, then up to 50, where squaring runs
     NORMS = [t * f for t in THETAS for f in (0.99, 1.01)] + [12.0, 50.0]
 
@@ -403,6 +406,9 @@ class TestMatrixExpOracle:
 
     def test_empty_matrix(self):
         assert matrix_exp(np.zeros((0, 0))).shape == (0, 0)
+
+    def test_keeps_degrees_7_and_13(self):
+        assert sorted(stiefel._PADE) == [7, 13]
 
 
 class TestExpMap:
