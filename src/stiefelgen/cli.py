@@ -22,6 +22,7 @@ from .novelty import (
 )
 from .signal import FIT_STRATEGIES, PageMatrix, from_page_matrix, to_page_matrix
 from .sphere import sphere_gen
+from .stiefel import _built, _checked
 
 WAVES_X_POINTS = 400
 WAVES_T_POINTS = 200
@@ -160,7 +161,7 @@ def _cmd_fboxplot(args) -> int:
         raise UsageError(
             f"--proportions must be comma-separated numbers, got {args.proportions!r}"
         ) from None
-    ens = FunctionalEnsemble(io.read_columns(args.inp).T)
+    ens = _built(FunctionalEnsemble, _checked(io.read_columns(args.inp).T, 2, "curve matrix"))  # not copied
     box = functional_boxplot(ens, proportions, args.fence)
     io.write_json(
         args.out,
@@ -170,11 +171,11 @@ def _cmd_fboxplot(args) -> int:
             "proportions": list(proportions),
             "fence_factor": args.fence,
             "envelopes": {
-                str(p): {"lower": list(lo), "upper": list(hi)}
+                str(p): {"lower": lo.tolist(), "upper": hi.tolist()}
                 for p, (lo, hi) in box.central_envelopes.items()
             },
-            "fences": {"lower": list(box.fences[0]), "upper": list(box.fences[1])},
-            "depths": list(box.depths),
+            "fences": {"lower": box.fences[0].tolist(), "upper": box.fences[1].tolist()},
+            "depths": box.depths.tolist(),
         },
     )
     _summary(

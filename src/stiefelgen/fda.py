@@ -119,21 +119,23 @@ def functional_boxplot(
             raise ValueError(f"proportions must be distinct and lie in (0, 1], got {p} in {list(proportions)}")
 
     curves = ens.curves
-    k = curves.shape[0]
+    k, t = curves.shape
     depths = mbd(ens)
     # stable sort on -depth keeps the lowest index first among ties
     order = np.argsort(-depths, kind="stable")
     median_index = int(order[0])
 
     def envelope(p: float):
+        # 64 points at a time as in mbd, never one alone: numpy reduces one column in another order
         take = order[: int(np.ceil(p * k))]
-        sub = curves[take]
-        return _read_only(sub.min(axis=0)), _read_only(sub.max(axis=0))
+        subs = (block[take] for block in np.split(curves, range(_MBD_BLOCK, t - 1, _MBD_BLOCK), axis=1))
+        lo, hi = zip(*((sub.min(axis=0), sub.max(axis=0)) for sub in subs))
+        return _read_only(np.concatenate(lo)), _read_only(np.concatenate(hi))
 
     envelopes = {p: envelope(p) for p in proportions}
     lo50, hi50 = envelopes[0.5] if 0.5 in envelopes else envelope(0.5)
     width = hi50 - lo50
     fences = (_read_only(lo50 - fence_factor * width), _read_only(hi50 + fence_factor * width))
-    outside = (curves < fences[0]) | (curves > fences[1])
-    outlier_indices = [int(i) for i in np.nonzero(outside.any(axis=1))[0]]
+    outside = (curves < fences[0]).any(axis=1) | (curves > fences[1]).any(axis=1)  # one k x t mask at a time
+    outlier_indices = [int(i) for i in np.nonzero(outside)[0]]
     return _built(FunctionalBoxplot, median_index, envelopes, fences, outlier_indices, depths)

@@ -1,17 +1,17 @@
 """CSV and JSON interchange.
 
-CSV holds all numeric data: one column for a univariate series, columns
-as series (rows as time) for multivariate data and ensembles. Values
-are written with 17 significant digits so doubles round-trip exactly;
-readers accept a leading BOM, an optional header row, comma separators
-and LF or CRLF endings, decoding one line at a time, so a read holds the
+CSV holds all numeric data: one column for a univariate series, columns as
+series (rows as time) for multivariate data and ensembles. Values are written
+with 17 significant digits so doubles round-trip exactly; readers accept a
+leading BOM, an optional header row, comma separators and LF or CRLF endings,
+decoding one line at a time into an array allocated once, so a read holds the
 parsed array, not the file's text. JSON carries model summaries.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -49,6 +49,9 @@ def _decoded(path, fh):
 
 def _parse_rows(path) -> np.ndarray:
     with open(path, "rb") as fh:
+        n_lines = 1 + sum(chunk.count(b"\n") for chunk in iter(lambda: fh.read(1 << 16), b""))
+        n_bytes = fh.tell()
+        fh.seek(0)
         lines = _decoded(path, fh)
         head = next(lines, "")
         rows = (line for line in lines if line.strip())
@@ -59,10 +62,14 @@ def _parse_rows(path) -> np.ndarray:
         except ValueError:
             first, head = 2, next(rows, None)
         # loadtxt accepts a subset of what float() does and parses it to the same doubles;
-        # it is never handed an empty input, on which it warns
+        # it is never handed an empty input, on which it warns. A valid file has no more rows than lines,
+        # nor than bytes over 2 per cell (a digit and a separator): loadtxt allocates that once, never grown.
         if head is not None:
             try:
-                return np.loadtxt(itertools.chain([head], rows), delimiter=",", comments=None, ndmin=2)
+                n = max(1, min(n_lines, (n_bytes + 1) // (2 * head.count(",") + 2)))  # head is a row
+                out = np.loadtxt(chain([head], rows), delimiter=",", comments=None, ndmin=2, max_rows=n)
+                if next(rows, None) is None:  # else a row past n is too short to be valid
+                    return out
             except ValueError:
                 pass  # the per-cell parse names the line and column at fault
     return _parse_cells(path, first)

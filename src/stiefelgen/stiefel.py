@@ -72,13 +72,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _freeze(value, ndim: int, what: str, dtype=None) -> np.ndarray:
-    """A read-only copy of value in dtype (by default float64, or complex if it is), checked.
-
-    The array rule of every value type: ndim dimensions and finite entries.
-    Each type's __post_init__ adds only its own invariant.
-    """
-    out = _read_only(np.array(value, dtype=dtype))
+def _checked(out: np.ndarray, ndim: int, what: str) -> np.ndarray:
+    """out itself, held to the array rule of every value type (ndim dimensions, finite entries)."""
     if out.ndim != ndim:
         raise ValueError(f"{what} must be {ndim}-d, got shape {out.shape}")
     if not np.isfinite(out).all():
@@ -86,11 +81,16 @@ def _freeze(value, ndim: int, what: str, dtype=None) -> np.ndarray:
     return out
 
 
+def _freeze(value, ndim: int, what: str, dtype=None) -> np.ndarray:
+    """A read-only, _checked copy of value in dtype (by default float64, or complex if it is)."""
+    return _checked(_read_only(np.array(value, dtype=dtype)), ndim, what)
+
+
 def _built(cls, *fields):
     """A cls value that takes over its arrays, frozen in place but neither copied nor checked.
 
-    Only for arrays the package derived from checked data and that no code
-    writes to afterwards: SVD factors, retractions, rescaled tangents, generated ensembles, fits.
+    Only for arrays the package derived from checked data, or _checked and held nowhere else, that no code
+    writes to afterwards: SVD factors, retractions, rescaled tangents, generated ensembles, fits, parsed CSV.
     """
     out = object.__new__(cls)
     for name, value in zip(cls.__dataclass_fields__, fields):

@@ -137,7 +137,8 @@ class TestIo:
         assert np.array_equal(io.read_columns(path), [[1.0, 2.0], [3.0, 4.0]])
 
     def test_read_peak_memory_follows_the_array(self, tmp_path):
-        # the file is decoded line by line, so no copy of its text is held through the parse
+        # the file is decoded line by line into an array allocated once and never grown, so neither a
+        # copy of the text nor a grown array and its copy is held through the parse
         data = np.random.default_rng(4).standard_normal((400, 500))
         path = tmp_path / "m.csv"
         io.write_columns(path, data)
@@ -148,7 +149,21 @@ class TestIo:
         finally:
             tracemalloc.stop()
         assert np.array_equal(got, data)
-        assert peak <= 1.5 * got.nbytes
+        assert peak <= 1.2 * got.nbytes
+
+    def test_blank_lines_do_not_size_the_read(self, tmp_path):
+        # the row bound follows the bytes as well as the lines: for a 100-wide row and 10000 blank lines
+        # the line count alone would allocate 10002 rows of 100 doubles to read one
+        path = tmp_path / "m.csv"
+        path.write_text(",".join(["1"] * 100) + "\n" * 10001)
+        tracemalloc.start()
+        try:
+            got = io.read_columns(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.shape == (1, 100)
+        assert peak <= 0.05 * 10001 * 100 * 8
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_json_refuses_non_finite_values_before_writing(self, tmp_path, value):
@@ -164,6 +179,13 @@ class TestIo:
     @example("\ufeff1,2\n3,4\n")
     @example("\n\x0c\n1,2\n  \n3,4\n\n")
     @example("a,b\r\n1,2\r\n")
+    # more lines than rows, or a last line without LF: the line count only bounds the rows read
+    @example("a,b\n\n1,2\n\n\n3,4\n\n")
+    @example("1,2\n3,4")
+    @example("a,b\r1,2\r3,4\r")
+    # the byte bound stops loadtxt before a short last row, which the per-cell parse then reports
+    @example("1,2\n3,4\n5\n")
+    @example("a\n,,,,,\n")
     def test_fast_read_equals_per_cell_read(self, text):
         # loadtxt either returns bitwise the per-cell array or defers to it, message included
         with tempfile.TemporaryDirectory() as tmp:
@@ -525,6 +547,49 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "proportions must be distinct" in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_fboxplot_non_finite_cell_is_domain_error(self, tmp_path, cell, capsys):
+        inp, out = tmp_path / "curves.csv", tmp_path / "box.json"
+        inp.write_text(f"1,2,3\n4,{cell},6\n7,8,9\n")
+        assert main(["fboxplot", "--in", str(inp), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "non-finite" in err[0]
+        assert not out.exists()
+
+    def test_fboxplot_peak_memory_holds_the_ensemble_once(self, tmp_path):
+        # the batch -> fboxplot size: the parsed array becomes the ensemble, and envelopes and the
+        # outlier mask take a block or one k x t mask at a time, so little else is held beside it
+        data = np.random.default_rng(5).standard_normal((2000, 500))
+        inp = tmp_path / "ens.csv"
+        io.write_columns(inp, data)
+        tracemalloc.start()
+        try:
+            code = main(["fboxplot", "--in", str(inp), "--out", str(tmp_path / "box.json"),
+                         "--proportions", "0.5,0.75"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 1.4 * data.nbytes
+
+    def test_fboxplot_json_bytes(self, tmp_path):
+        # ceil(0.5 * 3) = 2 deepest curves are y=1 and y=0; every value prints through float.__repr__
+        inp, out = tmp_path / "curves.csv", tmp_path / "box.json"
+        io.write_columns(inp, np.array([[0.0, 1.0, 2.0], [-0.0, 1.0, 2.0]]))
+        assert main(["fboxplot", "--in", str(inp), "--out", str(out), "--fence", "0.1"]) == 0
+        payload = {
+            "depths": [2 / 3, 1.0, 2 / 3],
+            "envelopes": {"0.5": {"lower": [0.0, -0.0], "upper": [1.0, 1.0]}},
+            "fence_factor": 0.1,
+            "fences": {"lower": [-0.1, -0.1], "upper": [1.1, 1.1]},
+            "median_index": 1,
+            "outlier_indices": [2],
+            "proportions": [0.5],
+        }
+        text = out.read_bytes()
+        assert text == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+        assert b"-0.0" in text and b"0.6666666666666666" in text
 
     def test_fboxplot_summary(self, tmp_path, rng):
         curves = np.sin(np.linspace(0, 5, 40)) + 0.1 * rng.standard_normal((9, 40))

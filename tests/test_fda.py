@@ -192,6 +192,25 @@ class TestFunctionalBoxplot:
         with pytest.raises(ValueError, match="fence_factor must be finite and >= 0"):
             functional_boxplot(ens, fence_factor=fence)
 
+    @pytest.mark.parametrize("t", [2, _MBD_BLOCK - 1, _MBD_BLOCK + 1, 2 * _MBD_BLOCK + 3])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blockwise_summary_equals_whole_array_summary_bitwise(self, t, order):
+        # signed zeros: -0.0 == 0.0, so which zero an extreme holds depends on the order min/max visit them.
+        # Columns take values in {0, 1} or {-1, 0}, so most extremes are zeros; every third is normal,
+        # which leaves curves outside the zero fence.
+        r = np.random.default_rng(t)
+        curves = r.integers(0, 2, size=(300, t)) - np.arange(t) % 2.0
+        curves[(curves == 0) & (r.random(curves.shape) < 0.5)] = -0.0
+        curves[:, 2::3] = r.standard_normal((300, len(range(2, t, 3))))
+        ens = FunctionalEnsemble(np.asarray(curves, order=order))
+        box = functional_boxplot(ens, proportions=(0.5, 0.75, 1.0), fence_factor=0.0)
+        deepest = np.argsort(-box.depths, kind="stable")
+        for p, (lo, hi) in box.central_envelopes.items():
+            sub = ens.curves[deepest[: int(np.ceil(p * 300))]]
+            assert lo.tobytes() == sub.min(axis=0).tobytes() and hi.tobytes() == sub.max(axis=0).tobytes()
+        outside = (ens.curves < box.fences[0]) | (ens.curves > box.fences[1])
+        assert box.outlier_indices == np.nonzero(outside.any(axis=1))[0].tolist() != []
+
     def test_zero_fence_is_the_fifty_percent_envelope(self, rng):
         ens = FunctionalEnsemble(rng.standard_normal((9, 12)))
         box = functional_boxplot(ens, fence_factor=0.0)
