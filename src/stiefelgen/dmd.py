@@ -15,13 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .augment import _factor_path
 from .fda import FunctionalEnsemble
-from .stiefel import CANONICAL, StiefelPoint, _built, _freeze
-
-# bench/tracer.py wraps these names in this module; the perturbation itself
-# goes through augment._factor_path.
-from .stiefel import exp_map, normalize_and_scale, random_tangent  # noqa: F401
+from .stiefel import StiefelPoint, _built, _freeze, exp_map, normalize_and_scale, random_tangent
 
 __all__ = [
     "SnapshotMatrix",
@@ -117,8 +112,8 @@ def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.n
 def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, rng) -> DmdModel:
     """Assemble from (U_r, Sigma_r, V_r) with U_r, then V_r, retracted along random canonical geodesics."""
     u_pt, s_r, v_pt = factors
-    u_r = _factor_path(u_pt, beta, CANONICAL, rng, u_pt.n)[0]
-    v_r = _factor_path(v_pt, beta, CANONICAL, rng, v_pt.n)[0]
+    u_r = exp_map(u_pt, normalize_and_scale(u_pt, random_tangent(u_pt, rng), beta)).matrix
+    v_r = exp_map(v_pt, normalize_and_scale(v_pt, random_tangent(v_pt, rng), beta)).matrix
     return _assemble(snaps, u_r, s_r, v_r)
 
 

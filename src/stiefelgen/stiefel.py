@@ -323,40 +323,30 @@ def normalize_and_scale(
     return _built(TangentVector, d.delta * (beta * INJECTIVITY_RADIUS / norm), base)
 
 
-#: theta_m, the largest norm at which the degree-m Pade approximant to exp has
-#: backward error below unit roundoff, and its numerator coefficients b_0, ..., b_m
-#: (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Tables 2.3 and 2.2). Only degrees
-#: 7 and 13 are kept: degree 7 is built from exactly the powers A^2, A^4 and A^6
-#: that the norm estimate forms, and degree 13 from those plus two products.
-_PADE = {
-    7: (9.504178996162932e-1,
-        np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0])),
-    13: (5.371920351148152, np.array([64764752532480000.0, 32382376266240000.0,
-                                      7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                                      10559470521600.0, 670442572800.0, 33522128640.0,
-                                      1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0])),
-}
+#: theta_7, the largest norm at which the degree-7 Pade approximant to exp has backward
+#: error below unit roundoff, and its numerator coefficients b_0, ..., b_7 (Higham, SIAM
+#: J. Matrix Anal. Appl. 26, 2005, Tables 2.3 and 2.2).
+_PADE = (9.504178996162932e-1,
+         np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0]))
 
 
 def matrix_exp(s: np.ndarray) -> np.ndarray:
     """Matrix exponential of a square matrix.
 
     Pade scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26,
-    2005): degree 7 if theta_7 covers A, else degree 13 on A / 2^s
-    followed by s squarings. The backward error involves only even powers
-    of A of order 2m and up, so A is measured by max(||A^4||^(1/4),
-    ||A^6||^(1/6)), from the Frobenius norms of powers the approximant
-    forms anyway (Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31, 2009,
-    without their correction for strongly non-normal input). For a skew A
-    this sits near the spectral radius, often far below ||A||. Degree 7
-    uses exactly the I, A^2, A^4 and A^6 that estimate forms, so a lower
-    degree would save no product, and degree 9 would save one only for
-    theta_7 < eta <= theta_9; degree 13 reuses the same powers. For
-    skew-(Hermitian) input the result is orthogonal/unitary to well below
-    1e-10.
+    2005) with one approximant, degree 7, on A / 2^s followed by s
+    squarings: s = 0 if eta <= theta_7, else ceil(log2(eta / theta_7)).
+    The backward error involves only even powers of A of order 14 and up,
+    so A is measured by eta = max(||A^4||^(1/4), ||A^6||^(1/6)) (Al-Mohy
+    & Higham, SIAM J. Matrix Anal. Appl. 31, 2009, without their
+    correction for strongly non-normal input), and degree 7 is the
+    approximant built from exactly the I, A^2, A^4 and A^6 that this
+    estimate forms. For a skew A, eta sits near the spectral radius,
+    often far below ||A||. For skew-(Hermitian) input the result is
+    orthogonal/unitary to well below 1e-10.
 
     Raises:
-        ValueError: for non-square or non-finite input.
+        ValueError: for non-square or non-finite input, or powers that overflow.
     """
     s = np.asarray(s)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -373,22 +363,17 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
     np.matmul(pw[2], pw[1], out=pw[3])
     # every even k >= 4 is 4i + 6j, so max(d4, d6) bounds ||A^k||^(1/k) for all of them
     eta = max(np.linalg.norm(pw[2]) ** (1 / 4), np.linalg.norm(pw[3]) ** (1 / 6))
-    m = 7 if eta <= _PADE[7][0] else 13
-    scale = 0
-    if m == 13:
-        scale = max(0, int(np.ceil(np.log2(eta / _PADE[13][0]))))
-        if scale:
-            s = s / 2.0**scale
-            pw[1:] *= 0.25 ** (scale * np.arange(1.0, 4.0))[:, None, None]
-    b = _PADE[m][1]
+    if not np.isfinite(eta):
+        raise ValueError("powers of the matrix overflow")
+    theta, b = _PADE
+    # s only past theta_7: log2(0) raises under np.errstate(divide="raise")
+    scale = 0 if eta <= theta else int(np.ceil(np.log2(eta / theta)))
+    if scale:
+        s = s / 2.0**scale
+        pw[1:] *= 0.25 ** (scale * np.arange(1.0, 4.0))[:, None, None]
     low = pw.reshape(4, n * n)
-    u = (b[1:8:2] @ low).reshape(n, n)
-    v = (b[0:8:2] @ low).reshape(n, n)
-    if m == 13:
-        high = pw[1:].reshape(3, n * n)
-        u += pw[3] @ (b[9::2] @ high).reshape(n, n)
-        v += pw[3] @ (b[8::2] @ high).reshape(n, n)
-    u = s @ u
+    u = s @ (b[1::2] @ low).reshape(n, n)
+    v = (b[0::2] @ low).reshape(n, n)
     e = np.linalg.solve(v - u, v + u)
     for _ in range(scale):
         e = e @ e

@@ -15,7 +15,7 @@ from stiefelgen.dmd import (
     slice_ensemble,
     synth_spatiotemporal,
 )
-from stiefelgen.stiefel import StiefelPoint
+from stiefelgen.stiefel import StiefelPoint, exp_map, normalize_and_scale, random_tangent
 
 
 def waves_fixture(nx=400, nt=200):
@@ -152,6 +152,20 @@ class TestPerturbedFit:
         snaps, _, _ = waves_fixture(30, 20)
         with pytest.raises(ValueError, match="beta"):
             perturbed_fit(snaps, rank=2, beta=1.5, rng=np.random.default_rng(0))
+
+    # (M, N, rank): at rank = M the U_r factor is square
+    @pytest.mark.parametrize("m, n, rank", [(3, 10, 3), (12, 9, 2), (6, 40, 4)])
+    def test_draws_through_the_public_geometry_api(self, m, n, rank):
+        # U_r, then V_r, are moved by random_tangent -> normalize_and_scale -> exp_map, bit for bit
+        data = np.random.default_rng(m * n).standard_normal((2, m, n))
+        snaps = SnapshotMatrix(data[0] + 1j * data[1], 0.1)
+        got = perturbed_fit(snaps, rank, 0.4, np.random.default_rng(11))
+        u_pt, s_r, v_pt = dmd._truncate(snaps, rank)
+        rng = np.random.default_rng(11)
+        u_r, v_r = (exp_map(pt, normalize_and_scale(pt, random_tangent(pt, rng), 0.4)).matrix for pt in (u_pt, v_pt))
+        want = dmd._assemble(snaps, u_r, s_r, v_r)
+        for field in ("modes", "eigenvalues", "omegas", "amplitudes"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 class TestEnsembleForecast:

@@ -354,6 +354,11 @@ class TestMatrixExp:
         with pytest.raises(ValueError, match="square"):
             matrix_exp(np.zeros((3, 4)))
 
+    def test_rejects_finite_input_whose_powers_overflow(self):
+        # ||A^6||_F overflows, so eta is inf; numpy's overflow warnings are silenced to reach the check
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="overflow"):
+            matrix_exp(np.array([[0.0, 1e26], [-1e26, 0.0]]))
+
 
 def _skew_with_one_norm(n: int, complex_field: bool, one_norm: float, rng) -> np.ndarray:
     raw = rng.standard_normal((n, n))
@@ -376,7 +381,7 @@ class TestMatrixExpOracle:
     @pytest.mark.parametrize("theta", THETAS)
     @pytest.mark.parametrize("side", [0.99, 1.01])
     def test_planar_rotation_at_each_degree_boundary(self, theta, side):
-        # for [[0, w], [-w, 0]], ||A^4||_F^(1/4) = 2^(1/8) w is the norm the degree is chosen by
+        # for [[0, w], [-w, 0]], ||A^4||_F^(1/4) = 2^(1/8) w is the eta the kernel measures A by
         w = side * theta / 2.0 ** (1 / 8)
         want = np.array([[np.cos(w), np.sin(w)], [-np.sin(w), np.cos(w)]])
         assert np.abs(matrix_exp(np.array([[0.0, w], [-w, 0.0]])) - want).max() < 1e-15
@@ -407,8 +412,21 @@ class TestMatrixExpOracle:
     def test_empty_matrix(self):
         assert matrix_exp(np.zeros((0, 0))).shape == (0, 0)
 
-    def test_keeps_degrees_7_and_13(self):
-        assert sorted(stiefel._PADE) == [7, 13]
+    @pytest.mark.parametrize("n", [2, 5, 20, 50])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("eta", [1.5, 3.0, 6.0, 40.0])
+    def test_past_theta_7_squares_the_degree_7_result(self, n, complex_field, eta):
+        # one approximant: past theta_7, exp(A) is exp(A / 2^s) squared s times with
+        # s = ceil(log2(eta / theta_7)), bit for bit, as scaling by a power of 2 is exact;
+        # no eta here lies near a power of 2 times theta_7, so rounding cannot move s
+        s = _skew_with_one_norm(n, complex_field, 1.0, np.random.default_rng(n))
+        powers = [np.linalg.matrix_power(s, k) for k in (4, 6)]
+        s *= eta / max(np.linalg.norm(a) ** (1 / k) for a, k in zip(powers, (4, 6)))
+        squarings = math.ceil(math.log2(eta / self.THETAS[2]))
+        want = matrix_exp(s / 2.0**squarings)
+        for _ in range(squarings):
+            want = want @ want
+        assert np.array_equal(matrix_exp(s), want)
 
 
 class TestExpMap:
