@@ -30,7 +30,6 @@ from .stiefel import (
     StiefelPoint,
     _action_columns,
     _built,
-    _square_tangent,
     _takes_action,
     geodesic,
     normalize_and_scale,
@@ -92,15 +91,11 @@ def _factor_path(
     """Sample, scale and retract one factor: its leading cols columns at t = 1/steps, ..., 1.
 
     A plain L x k block (the long side of an action page) moves as exp(A) X in
-    the ambient frame; a point goes through geodesic, whose t = 1 point is exp_map's.
-    A square point's tangent is U skew(U* G), scaled, the public route's up to rounding.
+    the ambient frame; a point, square or thin, goes through geodesic.
     """
     if not isinstance(factor, StiefelPoint):
         return _action_columns(factor, beta, metric, rng, steps)
-    if factor.m == factor.n:
-        d = _square_tangent(factor, beta, metric, rng)
-    else:
-        d = normalize_and_scale(factor, random_tangent(factor, rng), beta, metric)
+    d = normalize_and_scale(factor, random_tangent(factor, rng), beta, metric)
     return [geodesic(factor, d, step / steps, metric).matrix[:, :cols] for step in range(1, steps + 1)]
 
 

@@ -196,7 +196,14 @@ def ensemble_forecast(
 
 
 def slice_ensemble(forecasts: np.ndarray, spatial_index: int) -> FunctionalEnsemble:
-    """Ensemble of one spatial location's trajectories across members."""
+    """Ensemble of one spatial location's trajectories across members.
+
+    Raises ValueError, as ensemble_forecast does, for a non-3-d array or an index outside [0, M).
+    """
+    if forecasts.ndim != 3:
+        raise ValueError(f"forecasts must be 3-d (count, M, T), got shape {forecasts.shape}")
+    if not 0 <= spatial_index < forecasts.shape[1]:
+        raise ValueError(f"spatial_index must lie in [0, {forecasts.shape[1]}), got {spatial_index}")
     return FunctionalEnsemble(forecasts[:, spatial_index, :])
 
 

@@ -104,16 +104,16 @@ class MetricParams:
 
     alpha = 0 gives the canonical metric (weight I - 1/2 UU*),
     alpha = -1/2 the Euclidean metric inherited from the ambient space.
-    alpha = -1 is degenerate and rejected.
+    alpha = -1 is degenerate, and below it c > 1 makes the form indefinite,
+    so alpha must exceed -1.
     """
 
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.alpha):
-            raise ValueError("alpha must be finite")
-        if self.alpha == -1.0:
-            raise ValueError("alpha = -1 does not define a metric")
+        # a NaN alpha fails this comparison too
+        if not -1.0 < self.alpha < np.inf:
+            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
 
     @property
     def weight_coefficient(self) -> float:
@@ -223,29 +223,6 @@ def random_tangent(base: StiefelPoint, rng: np.random.Generator) -> TangentVecto
     space. Deterministic given the generator state.
     """
     return project_to_tangent(base, _standard_normal(base.matrix.shape, base.is_complex, rng))
-
-
-def _square_tangent(
-    base: StiefelPoint, beta: float, metric: MetricParams, rng: np.random.Generator
-) -> TangentVector:
-    """random_tangent, then normalize_and_scale, at a square base U, without the projection.
-
-    The normals G are drawn as random_tangent draws them, so the stream is
-    the same. At U* U = U U* = I the projected tangent is U A with
-    A = skew(U* G) = (U* G - G* U) / 2, and its alpha-norm is
-    sqrt(1 - c) ||A||_F, so A is scaled to beta * 0.89 pi in closed form
-    and U A is handed over unchecked: no tangency check and no second U* d
-    product. The result differs from the public route's at rounding level
-    only; beta = 0 gives the zero tangent, for which exp_map returns the base.
-    """
-    u = base.matrix
-    g = _standard_normal(u.shape, base.is_complex, rng)
-    if beta == 0.0:
-        return _built(TangentVector, np.zeros_like(g), base)
-    x = _conj_t(u) @ g
-    a = (x - _conj_t(x)) / 2.0
-    norm = np.sqrt(1.0 - metric.weight_coefficient) * np.linalg.norm(a)
-    return _built(TangentVector, u @ (a * (beta * INJECTIVITY_RADIUS / norm)), base)
 
 
 def _standard_normal(shape: tuple, complex_field: bool, rng: np.random.Generator) -> np.ndarray:

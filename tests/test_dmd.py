@@ -238,10 +238,13 @@ class TestEnsembleForecast:
 
     @pytest.mark.parametrize("index", [-1, 60])
     def test_rejects_out_of_range_spatial_index(self, index, no_svd):
-        # the same check as test_rejects_bad_arguments, for the spatial index M = 60
+        # the same check as test_rejects_bad_arguments, for the spatial index M = 60, in both functions
         snaps, _, t = waves_fixture(60, 50)
-        with pytest.raises(ValueError, match=rf"spatial_index must lie in \[0, 60\), got {index}"):
+        message = rf"spatial_index must lie in \[0, 60\), got {index}"
+        with pytest.raises(ValueError, match=message):
             ensemble_forecast(snaps, 2, 0.2, 3, t, np.random.default_rng(0), spatial_index=index)
+        with pytest.raises(ValueError, match=message):
+            slice_ensemble(np.zeros((3, 60, 50)), index)
 
     @pytest.mark.parametrize("beta", [0.0, 0.3])
     @pytest.mark.parametrize("count", [1, 4, 7])
@@ -263,6 +266,8 @@ class TestEnsembleForecast:
         members = ensemble_forecast(snaps, 2, 0.2, 4, t, np.random.default_rng(8))
         ens = slice_ensemble(members, 30)
         assert ens.curves.shape == (4, 50)
+        with pytest.raises(ValueError, match="3-d"):
+            slice_ensemble(members[:, 30, :], 0)
 
 
 class TestTruncate:

@@ -82,8 +82,10 @@ class TestTypes:
             TangentVector(np.zeros((4, 2)), pt)
 
     def test_metric_rejects_alpha_minus_one(self):
-        with pytest.raises(ValueError):
-            MetricParams(-1.0)
+        # alpha = -1 is degenerate; below it c > 1 and the form is indefinite
+        for alpha in (-1.0, -1.5, -2.0):
+            with pytest.raises(ValueError, match="> -1"):
+                MetricParams(alpha)
 
     def test_point_is_immutable(self, rng):
         pt = random_stiefel(4, 2, rng)
@@ -293,26 +295,31 @@ class TestNormalizeAndScale:
 
 
 class TestSquareTangent:
-    """At a square base the scaled tangent is U skew(U* G) from one product; the public route is the oracle."""
+    """A square factor draws through random_tangent -> normalize_and_scale -> exp_map, as a thin one does.
+
+    The oracle replays the public steps on an (n + 3) x n page, whose U and V are both square
+    points on the dense route; the generated matrix and the generator's end state must match bitwise.
+    """
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("n", [2, 5, 40, 50])
     @pytest.mark.parametrize("alpha", [-0.5, -0.25, 0.0])
     @pytest.mark.parametrize("beta", [0.0, 0.3, 1.0])
     def test_matches_public_route(self, complex_field, n, alpha, beta):
-        metric = MetricParams(alpha)
-        pt = random_stiefel(n, n, np.random.default_rng(n), complex_field)
+        r = np.random.default_rng(n)
+        mat = r.standard_normal((n + 3, n))
+        if complex_field:
+            mat = mat + 1j * r.standard_normal((n + 3, n))
+        cfg = augment.AugmentConfig(beta_u=beta, beta_v=beta, alpha=alpha)
         rng, public_rng = np.random.default_rng(7), np.random.default_rng(7)
-        d = stiefel._square_tangent(pt, beta, metric, rng)
-        want = normalize_and_scale(pt, random_tangent(pt, public_rng), beta, metric)
+        out = augment.stiefelgen_matrix(mat, cfg, rng)
+        u1, s, v1h = np.linalg.svd(mat)
+        moved = []
+        for pt in (StiefelPoint(u1), StiefelPoint(v1h.conj().T)):
+            d = normalize_and_scale(pt, random_tangent(pt, public_rng), beta, cfg.metric)
+            moved.append(exp_map(pt, d, cfg.metric).matrix[:, :n])
         assert rng.bit_generator.state == public_rng.bit_generator.state
-        assert d.delta.dtype == want.delta.dtype
-        assert np.linalg.norm(d.delta - want.delta) <= 1e-14 * max(1.0, np.linalg.norm(want.delta))
-        # the package builds it unchecked; the tangency check accepts it
-        checked = TangentVector(d.delta, pt)
-        assert abs(tangent_norm(pt, checked, metric) - beta * INJECTIVITY_RADIUS) < 1e-12
-        if beta == 0.0:
-            assert not np.any(d.delta) and exp_map(pt, d, metric) is pt
+        assert np.array_equal(out, (moved[0] * s) @ moved[1].conj().T)
 
 
 class TestMatrixExp:
@@ -669,12 +676,12 @@ class TestRandomSkew:
 
     def test_raises_as_normalize_and_scale(self, rng):
         pt = random_stiefel(6, 6, rng)
-        # alpha < -1 gives c > 1, where the metric norm of every U A tangent clips to zero
-        with pytest.raises(ValueError, match="zero tangent"):
-            normalize_and_scale(pt, random_tangent(pt, rng), 0.5, MetricParams(-2.0))
         x = random_stiefel(160, 4, rng).matrix
+        # every normal and chi-square is zero, so both routes draw the zero generator
         with pytest.raises(ValueError, match="zero tangent"):
-            stiefel._action_columns(x, 0.5, MetricParams(-2.0), rng)
+            normalize_and_scale(pt, random_tangent(pt, ZeroDraws()), 0.5)
+        with pytest.raises(ValueError, match="zero tangent"):
+            stiefel._action_columns(x, 0.5, CANONICAL, ZeroDraws())
 
     @pytest.mark.parametrize("complex_field", [False, True])
     def test_kept_blocks_are_the_least_that_bound_the_tail(self, complex_field):
@@ -702,6 +709,16 @@ class CountingGenerator:
     def chisquare(self, df):
         self.drawn += np.size(df)
         return self.rng.chisquare(df)
+
+
+class ZeroDraws:
+    """A Generator stand-in whose every normal and chi-square is zero."""
+
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+    def chisquare(self, df):
+        return np.zeros(np.shape(df))
 
 
 class TestKrylovDraw:
