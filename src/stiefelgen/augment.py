@@ -242,9 +242,9 @@ def batch_generate(
         raise ValueError(f"count must be >= 1, got {count}")
     pm = to_page_matrix(series, m, strategy)
     fac = _Factorization(pm.data, cfg.rank)
-    out = np.empty((count, min(pm.data.size, pm.original_length)))  # the length from_page_matrix returns
-    for row in range(count):  # one child held at a time, numbered as rng.spawn(count) numbers them
-        out[row] = _unpage(fac.path(cfg, rng.spawn(1)[0])[0], pm, cfg.smooth_len).values
+    from ._fork import fill_rows  # imported on first use, so that `import stiefelgen` does no more work
+    shape = (count, min(pm.data.size, pm.original_length))  # the length from_page_matrix returns
+    out = fill_rows(shape, rng, lambda row, gen: _unpage(fac.path(cfg, gen)[0], pm, cfg.smooth_len).values)
     return _built(FunctionalEnsemble, out)
 
 

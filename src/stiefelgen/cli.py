@@ -194,9 +194,12 @@ def _cmd_shm_demo(args) -> int:
     model = fit_one_class(pca.points, nu=args.nu, gamma=args.gamma)
 
     cfg = AugmentConfig(beta_u=args.beta, beta_v=args.beta, alpha=args.alpha)
-    after = np.empty_like(pca.points)
-    for i in range(dataset.count):  # one child held at a time, numbered as spawn(count) numbers them
-        after[i] = pca.project(stiefelgen_matrix(dataset.observations[i], cfg, perturb_rng.spawn(1)[0]))
+    from ._fork import fill_rows  # imported on first use, so that `import stiefelgen` does no more work
+
+    def draw(i: int, gen: np.random.Generator) -> np.ndarray:
+        return pca.project(stiefelgen_matrix(dataset.observations[i], cfg, gen))
+
+    after = fill_rows(pca.points.shape, perturb_rng, draw)  # observation i on the i-th spawned child
 
     ranking = norm_change_ranking(pca.points, after)
     candidate = adversarial_candidate(ranking, args.percentile)
