@@ -1,7 +1,9 @@
 """Row loops shared with one forked child: bitwise the serial results, errors raised here, every child reaped."""
 
 import os
+import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -62,6 +64,38 @@ def test_batch_rows_are_the_serial_rows_on_spawned_streams(monkeypatch, forks, c
     for k, seq in enumerate(np.random.SeedSequence(21).spawn(2 + count)[2:]):
         direct = stiefelgen_series(SIGNAL, 12, cfg, np.random.default_rng(seq))
         assert np.array_equal(shared_rows[k], direct.values)
+    assert_no_child()
+
+
+def test_stays_serial_beside_another_python_thread(monkeypatch, forks):
+    cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
+    want = batch_generate(SIGNAL, 5, 12, cfg, np.random.default_rng(4)).curves
+    shared(monkeypatch)
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        got = batch_generate(SIGNAL, 5, 12, cfg, np.random.default_rng(4)).curves
+    finally:
+        release.set()
+        waiting.join(timeout=10.0)
+    assert not waiting.is_alive()
+    assert forks == [] and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count, shares", [(6, True), (5, False)])
+def test_forks_only_with_at_most_half_the_rows_made(monkeypatch, forks, count, shares):
+    def step(k, gen):
+        now[0] += 1.0  # each row takes one second of this clock
+        return np.full(2, float(k))
+
+    now = [0.0]
+    shared(monkeypatch)
+    monkeypatch.setattr(_fork, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
+    monkeypatch.setattr(_fork, "_FORK_AFTER_S", 2.5)  # passed with 3 rows made: half of 6, more than half of 5
+    rows = _fork.fill_rows((count, 2), np.random.default_rng(0), step)
+    assert np.array_equal(rows[:, 0], np.arange(count))
+    assert forks == ([os.getpid()] if shares else [])
     assert_no_child()
 
 
