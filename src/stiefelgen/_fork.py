@@ -1,134 +1,73 @@
-"""Row loops shared with one forked child process.
+"""Row loops shared with one forked child process."""
 
-A loop makes its rows in index order until it has run _FORK_AFTER_S with at most half of them made.
-Then, if os.sched_getaffinity allows two or more CPUs and one Python thread runs, one os.fork()ed
-child takes part of the rest. A row depends on its index alone, so results are bitwise the serial ones.
-"""
-
-from __future__ import annotations
-
+import contextlib
+import mmap
 import os
-import threading
-import time
+import signal
+import warnings
 
 import numpy as np
 
-#: A few times the 2.9 ms one fork, child exit and reap took in a 49 MB process (2-vCPU x86-64 VM).
-_FORK_AFTER_S = 0.01
+#: The smallest draw, on a 10-row page, takes about 0.3 ms, so 32 rows take a few times the 2.9 ms that
+#: one fork, child exit and reap took in a 49 MB process (2-vCPU x86-64 VM).
+_FORK_MIN_ROWS = 32
 
 
-def _serial_start(count: int, make) -> int:
-    """Calls make(k) for k = 0, 1, ... and returns the first k to share with a child, or count."""
-    deadline = time.perf_counter() + _FORK_AFTER_S
-    for k in range(count):
-        if time.perf_counter() >= deadline:
-            cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-            if 2 * k <= count and len(cpus) > 1 and threading.active_count() == 1:
-                return k
-            deadline = float("inf")
-        make(k)
-    return count
-
-
-def _beside(work, body, fd: int) -> int:
-    """Runs body() while a forked child runs work() and leaves by os._exit, with no traceback; then closes
-    fd, kills the child if body() raised and reaps it. Returns the child's wait status, 0 if work()
-    returned, or 1 if the fork failed and body() ran alone."""
-    try:
-        pid = os.fork()
-    except OSError:
-        pid = None
-    if pid == 0:
-        try:
-            work()
-            os._exit(0)
-        finally:
-            os._exit(1)
-    try:
-        body()
-    except BaseException:
-        if pid:
-            os.kill(pid, 9)  # SIGKILL; the signal module is not otherwise imported
-        raise
-    finally:
-        os.close(fd)
-        status = os.waitpid(pid, 0)[1] if pid else 1
-    return status
+def _may_fork() -> bool:
+    """Two or more CPUs allowed (Linux), and no other thread that could hold a lock across the fork."""
+    cpus = getattr(os, "sched_getaffinity", lambda pid: ())(0)
+    return len(cpus) > 1 and len(os.listdir("/proc/self/task")) == 1
 
 
 def fill_rows(shape: tuple, rng: np.random.Generator, step) -> np.ndarray:
     """A float64 array whose row k is step(k, g), g the k-th child of rng.spawn(shape[0]), which rng counts.
 
-    Shared, the parent and the child take tokens of rows from one pipe and write them into anonymous
-    shared memory; the parent then makes, in index order, each row the child did not finish, so a row
-    that raises raises here as it would serially.
+    With _FORK_MIN_ROWS rows or more and _may_fork(), a child forked before the first row (a draw made
+    before would leave its OpenBLAS buffer pages resident) makes rows from the last down, this process
+    from the first up, each stopping at a row the other took. This process then makes, in index order,
+    each row the child did not finish, so a row raises here as it would serially.
     """
-    out, count = np.empty(shape), shape[0]
-    first = _serial_start(count, lambda k: out.__setitem__(k, step(k, rng.spawn(1)[0])))
-    if first == count:
-        return out
-    import mmap
-
-    shared = mmap.mmap(-1, out.nbytes + count)
-    rows = np.frombuffer(shared, count=out.size).reshape(shape)
-    done = np.frombuffer(shared, np.uint8, offset=out.nbytes)
-    rows[:first], done[:first] = out[:first], 1
+    count, rows = shape[0], np.empty(shape)  # numpy's MemoryError, as serially, for a shape too large
+    if count < _FORK_MIN_ROWS or not _may_fork():
+        for k in range(count):
+            rows[k] = step(k, rng.spawn(1)[0])
+        return rows
+    shared = mmap.mmap(-1, rows.nbytes + count)
+    rows = np.frombuffer(shared, count=rows.size).reshape(shape)
+    state = np.frombuffer(shared, np.uint8, offset=rows.nbytes)  # per row: 0 free, 1 taken, 2 made
     seq = rng.bit_generator.seed_seq
-    key = seq.n_children_spawned - first
-    per = -(-(count - first) // 1024)  # at most 1024 four-byte tokens: one page, which any pipe holds
-    r, w = os.pipe()
-    os.write(w, np.arange(first, count, per, dtype="<i4").tobytes())
-    os.close(w)
+    key = seq.n_children_spawned  # row k's child is number key + k
 
-    def make(k):  # with the k-th child, made as SeedSequence.spawn makes it
-        spawned = type(seq)(seq.entropy, spawn_key=seq.spawn_key + (key + k,), pool_size=seq.pool_size)
-        rows[k], done[k] = step(k, type(rng)(type(rng.bit_generator)(spawned))), 1
+    def take(order):  # row k with the k-th child, made as SeedSequence.spawn makes it
+        for k in order:
+            if state[k]:
+                return
+            state[k] = 1
+            spawned = type(seq)(seq.entropy, spawn_key=seq.spawn_key + (key + k,), pool_size=seq.pool_size)
+            rows[k], state[k] = step(k, type(rng)(type(rng.bit_generator)(spawned))), 2
 
-    def take():
-        while token := os.read(r, 4):
-            for k in range(int.from_bytes(token, "little"), count)[:per]:
-                make(k)
-
+    pid = None  # if the fork fails, this process makes every row
+    with warnings.catch_warnings(), contextlib.suppress(OSError):  # a thread started since _may_fork
+        warnings.simplefilter("ignore", DeprecationWarning)  # must not cost the child's pid
+        pid = os.fork()
+    if pid == 0:
+        try:
+            take(range(count - 1, -1, -1))
+        finally:
+            os._exit(0)  # no traceback: the parent makes the row again and raises
     try:
-        _beside(take, take, r)
-    except Exception:
-        pass  # the row is made again below, where it raises in index order
-    for k in range(first, count, 16):  # counted as rng.spawn(count) would, 16 seeds at a time
-        seq.spawn(min(16, count - k))
-    for k in np.flatnonzero(done == 0).tolist():
-        make(k)
+        take(range(count))
+    except BaseException:
+        if pid:
+            with contextlib.suppress(ProcessLookupError):  # SIGCHLD ignored: the child may be gone
+                os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        if pid:
+            with contextlib.suppress(ChildProcessError):  # SIGCHLD ignored: the child reaped itself
+                os.waitpid(pid, 0)
+    for _ in range(count):
+        seq.spawn(1)  # counted as rng.spawn(count) counts them
+    state[state == 1] = 0  # rows the child took and did not finish
+    take(np.flatnonzero(state == 0).tolist())
     return rows
-
-
-def write_rows(fh, count: int, text) -> None:
-    """fh.write(text(k)) for k in range(count), on a text file that translates no newlines.
-
-    Shared, the rows left are split once at their middle: the child formats the second half into its
-    own memory and passes the bytes through a pipe, which the parent copies in 64 KiB chunks once it
-    has written the first half. Without a child that succeeds, the parent cuts what it copied and
-    writes those rows itself.
-    """
-    first = _serial_start(count, lambda k: fh.write(text(k)))
-    if first == count:
-        return
-    mid, (r, w), copied_from = (first + count) // 2, os.pipe(), []
-
-    def send():
-        lines = [text(k).encode(fh.encoding) for k in range(mid, count)]
-        with open(w, "wb") as pipe:
-            pipe.writelines(lines)
-
-    def receive():
-        os.close(w)
-        for k in range(first, mid):
-            fh.write(text(k))
-        fh.flush()
-        copied_from.append(fh.buffer.tell())
-        while chunk := os.read(r, 1 << 16):
-            fh.buffer.write(chunk)
-
-    if _beside(send, receive, r):
-        fh.buffer.seek(copied_from[0])
-        fh.buffer.truncate()
-        for k in range(mid, count):
-            fh.write(text(k))

@@ -195,11 +195,8 @@ def _cmd_shm_demo(args) -> int:
 
     cfg = AugmentConfig(beta_u=args.beta, beta_v=args.beta, alpha=args.alpha)
     from ._fork import fill_rows  # imported on first use, so that `import stiefelgen` does no more work
-
-    def draw(i: int, gen: np.random.Generator) -> np.ndarray:
-        return pca.project(stiefelgen_matrix(dataset.observations[i], cfg, gen))
-
-    after = fill_rows(pca.points.shape, perturb_rng, draw)  # observation i on the i-th spawned child
+    obs = dataset.observations  # observation i drawn on the i-th child spawned from perturb_rng
+    after = fill_rows(pca.points.shape, perturb_rng, lambda i, g: pca.project(stiefelgen_matrix(obs[i], cfg, g)))
 
     ranking = norm_change_ranking(pca.points, after)
     candidate = adversarial_candidate(ranking, args.percentile)

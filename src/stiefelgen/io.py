@@ -125,14 +125,14 @@ def read_columns(path) -> np.ndarray:
 
 def write_columns(path, columns: np.ndarray, header: str | None = None) -> None:
     """Write a (time x series) array as CSV columns."""
-    from ._fork import write_rows  # imported on first use, so that `import stiefelgen` does no more work
     columns = np.atleast_2d(np.asarray(columns, dtype=np.float64))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if header:
             fh.write(header + "\n")
         # one % per row over Python floats; "%.17g" prints what format(v, ".17g") does
         line = ",".join(["%.17g"] * columns.shape[1]) + "\n"
-        write_rows(fh, len(columns), lambda k: line % tuple(columns[k].tolist()))
+        for row in columns:
+            fh.write(line % tuple(row.tolist()))
 
 
 def write_json(path, payload: dict) -> None:

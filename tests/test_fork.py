@@ -1,9 +1,11 @@
 """Row loops shared with one forked child: bitwise the serial results, errors raised here, every child reaped."""
 
 import os
-import threading
+import signal
+import subprocess
+import sys
 import time
-import types
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ SIGNAL = TimeSeries(3.0 + np.sin(np.arange(300) * 0.05) + 0.4 * np.sin(np.arange
 
 @pytest.fixture
 def forks(monkeypatch):
-    """Pids of the processes that forked; each loop forks at its first row once shared(monkeypatch) runs."""
+    """Pids of the processes that forked; every loop forks once shared(monkeypatch) has run."""
     made, fork = [], os.fork
 
     def counted():
@@ -30,17 +32,21 @@ def forks(monkeypatch):
 
 
 def shared(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(_fork, "_FORK_AFTER_S", 0.0)
+    monkeypatch.setattr(_fork, "_may_fork", lambda: True)
+    monkeypatch.setattr(_fork, "_FORK_MIN_ROWS", 1)
 
 
 def serial(monkeypatch, by):
     if by == "one cpu":
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(_fork, "_FORK_AFTER_S", 0.0)
+        monkeypatch.setattr(_fork, "_FORK_MIN_ROWS", 1)
     else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(_fork, "_FORK_AFTER_S", float("inf"))
+        monkeypatch.setattr(_fork, "_may_fork", lambda: True)
+        monkeypatch.setattr(_fork, "_FORK_MIN_ROWS", 10**9)
+
+
+def rows_of(k, gen):
+    return np.array([float(k), gen.standard_normal()])
 
 
 def assert_no_child():
@@ -67,36 +73,53 @@ def test_batch_rows_are_the_serial_rows_on_spawned_streams(monkeypatch, forks, c
     assert_no_child()
 
 
-def test_stays_serial_beside_another_python_thread(monkeypatch, forks):
-    cfg = AugmentConfig(beta_u=0.3, beta_v=0.3)
-    want = batch_generate(SIGNAL, 5, 12, cfg, np.random.default_rng(4)).curves
+@pytest.mark.parametrize(
+    "cpus, threads, may",
+    [({0, 1}, ["1"], True), ({0}, ["1"], False), ({0, 1}, ["1", "2"], False), (None, ["1"], False)],
+    ids=["two cpus", "one cpu", "two threads", "no affinity"],
+)
+def test_may_fork_needs_two_cpus_and_one_thread(monkeypatch, cpus, threads, may):
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: threads if path == "/proc/self/task" else listdir(path))
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    assert _fork._may_fork() is may
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="the thread rule reads /proc")
+def test_may_fork_counts_threads_started_by_any_code():
+    script = (
+        "import os, threading\n"
+        "from stiefelgen import _fork\n"
+        "alone = _fork._may_fork()\n"
+        "stop = threading.Event(); thread = threading.Thread(target=stop.wait); thread.start()\n"
+        "print(alone, _fork._may_fork()); stop.set(); thread.join()\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [str(len(os.sched_getaffinity(0)) > 1), "False"]
+
+
+@pytest.mark.parametrize("shortest", [True, False])
+def test_loops_shorter_than_the_threshold_stay_serial(monkeypatch, forks, shortest):
     shared(monkeypatch)
-    release = threading.Event()
-    waiting = threading.Thread(target=release.wait)
-    waiting.start()
-    try:
-        got = batch_generate(SIGNAL, 5, 12, cfg, np.random.default_rng(4)).curves
-    finally:
-        release.set()
-        waiting.join(timeout=10.0)
-    assert not waiting.is_alive()
-    assert forks == [] and np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("count, shares", [(6, True), (5, False)])
-def test_forks_only_with_at_most_half_the_rows_made(monkeypatch, forks, count, shares):
-    def step(k, gen):
-        now[0] += 1.0  # each row takes one second of this clock
-        return np.full(2, float(k))
-
-    now = [0.0]
-    shared(monkeypatch)
-    monkeypatch.setattr(_fork, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
-    monkeypatch.setattr(_fork, "_FORK_AFTER_S", 2.5)  # passed with 3 rows made: half of 6, more than half of 5
-    rows = _fork.fill_rows((count, 2), np.random.default_rng(0), step)
-    assert np.array_equal(rows[:, 0], np.arange(count))
-    assert forks == ([os.getpid()] if shares else [])
+    monkeypatch.setattr(_fork, "_FORK_MIN_ROWS", 6)
+    count = 6 if shortest else 5
+    rows = _fork.fill_rows((count, 2), np.random.default_rng(0), rows_of)
+    seqs = np.random.SeedSequence(0).spawn(count)
+    want = np.array([rows_of(k, np.random.default_rng(seq)) for k, seq in enumerate(seqs)])
+    assert np.array_equal(rows, want)
+    assert forks == ([os.getpid()] if shortest else [])
     assert_no_child()
+
+
+def test_a_shape_too_large_raises_numpys_memory_error(monkeypatch, forks):
+    shared(monkeypatch)
+    with pytest.raises(MemoryError, match="Unable to allocate"):  # over a PiB, above any address space
+        _fork.fill_rows((10**12, 200), np.random.default_rng(0), rows_of)
+    assert forks == []
 
 
 def test_shared_rows_when_the_fork_fails(monkeypatch):
@@ -108,6 +131,45 @@ def test_shared_rows_when_the_fork_fails(monkeypatch):
     shared(monkeypatch)
     monkeypatch.setattr(os, "fork", no_fork)
     assert np.array_equal(batch_generate(SIGNAL, 5, 12, cfg, np.random.default_rng(4)).curves, want)
+
+
+@pytest.mark.parametrize("how", ["fork warns", "SIGCHLD ignored"])
+def test_the_child_is_reaped_when_the_fork_warns_or_reaps_itself(monkeypatch, forks, how):
+    def warning_fork():  # Python 3.12+ warns here when the process runs other threads
+        pid = fork()
+        if pid:
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks.", DeprecationWarning)
+        return pid
+
+    want = _fork.fill_rows((9, 2), np.random.default_rng(5), rows_of)
+    shared(monkeypatch)
+    fork = os.fork
+    if how == "fork warns":
+        monkeypatch.setattr(os, "fork", warning_fork)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN if how == "SIGCHLD ignored" else signal.SIG_DFL)
+    try:
+        assert np.array_equal(_fork.fill_rows((9, 2), np.random.default_rng(5), rows_of), want)
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert_no_child()
+
+
+def test_an_error_here_after_the_child_reaped_itself(monkeypatch):
+    def step(k, gen):
+        if os.getpid() == parent:
+            time.sleep(0.3)  # the child makes rows 8 to 1, stops at row 0 and is gone
+            raise ValueError("row 0 failed")
+        return rows_of(k, gen)
+
+    parent = os.getpid()
+    shared(monkeypatch)
+    handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+    try:
+        with pytest.raises(ValueError, match="^row 0 failed$"):
+            _fork.fill_rows((9, 2), np.random.default_rng(5), step)
+    finally:
+        signal.signal(signal.SIGCHLD, handler)
+    assert_no_child()
 
 
 @pytest.mark.parametrize(
@@ -128,55 +190,38 @@ def test_cli_outputs_are_byte_identical(tmp_path, monkeypatch, forks, argv, outp
         assert main([*argv, *paths]) == 0
         files[name] = [(tmp_path / name / o).read_bytes() for o in outputs[1::2]]
     assert files["shared"] == files["serial"]
-    assert forks == [os.getpid()] * 2  # the draws, then the CSV
-    assert_no_child()
-
-
-@pytest.mark.parametrize("header", [None, "a,b,c"])
-@pytest.mark.parametrize("rows", [1, 2, 7, 400])
-def test_written_columns_are_byte_identical(tmp_path, monkeypatch, forks, rows, header):
-    columns = np.random.default_rng(rows).standard_normal((rows, 3)) * 10.0 ** np.arange(-3, 6, 3)
-    serial(monkeypatch, "one cpu")
-    io.write_columns(tmp_path / "serial.csv", columns, header)
-    shared(monkeypatch)
-    io.write_columns(tmp_path / "shared.csv", columns, header)
     assert forks == [os.getpid()]
-    assert (tmp_path / "shared.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
     assert_no_child()
 
 
-@pytest.mark.parametrize("fails", ["child", "fork"])
-def test_rows_the_child_did_not_write_are_written_here(tmp_path, monkeypatch, fails):
-    def text(k):
-        if fails == "child" and os.getpid() != parent:
-            raise MemoryError
-        return f"{k}\n"
-
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
+def test_rows_the_child_did_not_finish_are_made_here(monkeypatch):
+    def step(k, gen):
+        if os.getpid() != parent:
+            if k == 5:
+                os.kill(os.getpid(), signal.SIGKILL)  # dies with row 5 taken, rows 6 to 8 made
+            return rows_of(k, gen)
+        time.sleep(0.02)  # the child takes its rows before this process gets there
+        return rows_of(k, gen)
 
     parent = os.getpid()
+    want = _fork.fill_rows((9, 2), np.random.default_rng(2), rows_of)
     shared(monkeypatch)
-    if fails == "fork":
-        monkeypatch.setattr(os, "fork", no_fork)
-    with open(tmp_path / "rows.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k\n")
-        _fork.write_rows(fh, 9, text)
-    assert (tmp_path / "rows.csv").read_text() == "k\n" + "".join(f"{k}\n" for k in range(9))
+    assert np.array_equal(_fork.fill_rows((9, 2), np.random.default_rng(2), step), want)
     assert_no_child()
 
 
-def test_child_error_is_raised_here_without_a_traceback(monkeypatch, capfd):
+@pytest.mark.parametrize("failing, raised", [((3, 5), 3), ((5,), 5)], ids=["here first", "child only"])
+def test_child_error_is_raised_here_without_a_traceback(monkeypatch, capfd, failing, raised):
     def step(k, gen):
         if os.getpid() == parent:
             time.sleep(0.02)  # the child takes most rows, the failing ones among them
-        if k in (3, 5):
+        if k in failing:
             raise ValueError(f"row {k} failed")
         return np.full(2, float(k))
 
     parent = os.getpid()
     shared(monkeypatch)
-    with pytest.raises(ValueError, match=r"^row 3 failed$"):
+    with pytest.raises(ValueError, match=rf"^row {raised} failed$"):
         _fork.fill_rows((8, 2), np.random.default_rng(0), step)
     assert "Traceback" not in capfd.readouterr().err
     assert_no_child()
