@@ -98,7 +98,8 @@ def test_may_fork_counts_threads_started_by_any_code():
         "print(alone, _fork._may_fork()); stop.set(); thread.join()\n"
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True,
+                         timeout=60)
     assert out.stdout.split() == [str(len(os.sched_getaffinity(0)) > 1), "False"]
 
 
@@ -112,6 +113,18 @@ def test_loops_shorter_than_the_threshold_stay_serial(monkeypatch, forks, shorte
     want = np.array([rows_of(k, np.random.default_rng(seq)) for k, seq in enumerate(seqs)])
     assert np.array_equal(rows, want)
     assert forks == ([os.getpid()] if shortest else [])
+    assert_no_child()
+
+
+def test_many_short_rows_meet_without_a_lost_row(monkeypatch):
+    # both processes race for the state bytes row after row; a row taken twice is made twice, alike,
+    # and a row that neither made would leave this process's rows unequal to the serial ones
+    want = _fork.fill_rows((3000, 2), np.random.default_rng(8), rows_of)
+    shared(monkeypatch)
+    for _ in range(4):
+        rng = np.random.default_rng(8)
+        assert np.array_equal(_fork.fill_rows((3000, 2), rng, rows_of), want)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 3000
     assert_no_child()
 
 
