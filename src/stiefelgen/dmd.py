@@ -175,7 +175,8 @@ def ensemble_forecast(
     Returns an array of shape (count, M, len(times)); member k equals
     perturbed_fit on the k-th child stream spawned from rng, so the
     ensemble is deterministic per seed. The truncated SVD is computed
-    once and shared by all members. An int spatial_index returns the
+    once and shared by all members, which batch_generate's row loop
+    makes (_fork.fill_rows). An int spatial_index returns the
     (count, len(times)) slice at that location alone, bitwise, without
     holding the full array: use it when one location is read, and
     slice_ensemble on the full array when several are.
@@ -187,12 +188,10 @@ def ensemble_forecast(
         raise ValueError(f"spatial_index must lie in [0, {snaps.n_space}), got {spatial_index}")
     factors = _truncate(snaps, rank)
     times = np.asarray(times, dtype=np.float64)
-    rows = slice(None) if spatial_index is None else spatial_index
-    out = np.empty((count, snaps.n_space, len(times)) if spatial_index is None else (count, len(times)))
-    for member in range(count):  # one child held at a time, numbered as rng.spawn(count) numbers them
-        model = _perturbed_model(snaps, factors, beta, rng.spawn(1)[0])
-        out[member] = forecast(model, times).real[rows]  # no name keeps the M x T field past its member
-    return out
+    loc = slice(None) if spatial_index is None else spatial_index  # no name keeps a member's M x T field
+    shape = (count, snaps.n_space, len(times)) if spatial_index is None else (count, len(times))
+    from ._fork import fill_rows  # imported on first use, so that `import stiefelgen` does no more work
+    return fill_rows(shape, rng, lambda _, g: forecast(_perturbed_model(snaps, factors, beta, g), times).real[loc])
 
 
 def slice_ensemble(forecasts: np.ndarray, spatial_index: int) -> FunctionalEnsemble:

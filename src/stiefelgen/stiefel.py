@@ -16,7 +16,7 @@ matrices without leaving the manifold:
 All operations are pure functions of their inputs plus an explicitly
 passed RNG; the value types are immutable after construction and safe
 to share across threads. Parallel callers must use independent RNG
-streams, as the batch loops that share draws with a forked child do.
+streams, as batch, shm-demo and dmd-ensemble do when they fork a child.
 
 The 0.89*pi bound is a tight lower bound for the canonical metric; it
 is reused verbatim for every alpha, which is a documented gap rather

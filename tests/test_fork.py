@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ import pytest
 from stiefelgen import _fork, cli, io
 from stiefelgen.augment import AugmentConfig, batch_generate, stiefelgen_series
 from stiefelgen.cli import main
+from stiefelgen.dmd import ensemble_forecast, synth_spatiotemporal
 from stiefelgen.signal import TimeSeries
 
 SIGNAL = TimeSeries(3.0 + np.sin(np.arange(300) * 0.05) + 0.4 * np.sin(np.arange(300) * 0.27))
@@ -128,11 +130,64 @@ def test_many_short_rows_meet_without_a_lost_row(monkeypatch):
     assert_no_child()
 
 
-def test_a_shape_too_large_raises_numpys_memory_error(monkeypatch, forks):
-    shared(monkeypatch)
+@pytest.mark.parametrize("by", ["shared", "one cpu", "threshold"])
+def test_a_shape_too_large_raises_numpys_memory_error(monkeypatch, forks, by):
+    shared(monkeypatch) if by == "shared" else serial(monkeypatch, by)
     with pytest.raises(MemoryError, match="Unable to allocate"):  # over a PiB, above any address space
         _fork.fill_rows((10**12, 200), np.random.default_rng(0), rows_of)
     assert forks == []
+
+
+@pytest.mark.parametrize("by", ["one cpu", "threshold"])
+def test_rows_are_mapped_without_a_child(monkeypatch, forks, by):
+    # the rows and their state bytes live in the mapping whether or not a child is forked, so the loop's
+    # own allocations are one row and its child generator at a time
+    serial(monkeypatch, by)
+    tracemalloc.start()
+    try:
+        rows = _fork.fill_rows((500, 2000), np.random.default_rng(6), lambda k, gen: gen.standard_normal(2000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forks == []
+    assert peak < 0.25 * rows.nbytes
+    assert rows[499, 0] == np.random.default_rng(np.random.SeedSequence(6).spawn(500)[499]).standard_normal()
+
+
+@pytest.mark.parametrize("by", ["one cpu", "threshold"])
+@pytest.mark.parametrize("failing", [0, 4])
+def test_an_error_without_a_child_leaves_the_failing_rows_child_counted(monkeypatch, forks, by, failing):
+    # as a loop of rng.spawn(1)[0] then step leaves it: rows 0 to k have each spawned their child
+    def step(k, gen):
+        if k == failing:
+            raise ValueError(f"row {k} failed")
+        return rows_of(k, gen)
+
+    serial(monkeypatch, by)
+    rng = np.random.default_rng(3)
+    rng.spawn(2)
+    with pytest.raises(ValueError, match=rf"^row {failing} failed$"):
+        _fork.fill_rows((9, 2), rng, step)
+    assert forks == []
+    assert rng.bit_generator.seed_seq.n_children_spawned == 2 + failing + 1
+
+
+@pytest.mark.parametrize("by", ["one cpu", "threshold"])
+def test_dmd_ensemble_field_is_the_same_with_a_child(monkeypatch, forks, by):
+    snaps = synth_spatiotemporal(np.linspace(-5.0, 5.0, 40), np.linspace(0.0, 2.0, 30))
+    times = np.arange(snaps.n_time) * snaps.dt
+    runs = []
+    for setting in (lambda: serial(monkeypatch, by), lambda: shared(monkeypatch)):
+        setting()
+        rng = np.random.default_rng(17)
+        rng.spawn(1)
+        field = ensemble_forecast(snaps, 2, 0.3, 6, times, rng, spatial_index=None)
+        runs.append((field, rng.spawn(1)[0].standard_normal(4)))
+    assert forks == [os.getpid()]
+    (serial_field, serial_next), (shared_field, shared_next) = runs
+    assert serial_field.shape == (6, 40, 30)
+    assert np.array_equal(shared_field, serial_field) and np.array_equal(shared_next, serial_next)
+    assert_no_child()
 
 
 def test_shared_rows_when_the_fork_fails(monkeypatch):
@@ -188,8 +243,9 @@ def test_an_error_here_after_the_child_reaped_itself(monkeypatch):
 @pytest.mark.parametrize(
     "argv, outputs",
     [(["shm-demo", "--steps", "2", "--seed", "3"], ["--out", "shm.json", "--points-out", "pts.csv"]),
-     (["batch", "--rows", "12", "--count", "5", "--beta", "0.3", "--seed", "3"], ["--out", "ens.csv"])],
-    ids=["shm-demo", "batch"],
+     (["batch", "--rows", "12", "--count", "5", "--beta", "0.3", "--seed", "3"], ["--out", "ens.csv"]),
+     (["dmd-ensemble", "--fixture", "waves", "--rank", "2", "--count", "5", "--seed", "3"], ["--out", "ens.csv"])],
+    ids=["shm-demo", "batch", "dmd-ensemble"],
 )
 def test_cli_outputs_are_byte_identical(tmp_path, monkeypatch, forks, argv, outputs):
     io.write_series(tmp_path / "signal.csv", SIGNAL)
