@@ -130,9 +130,16 @@ def test_many_short_rows_meet_without_a_lost_row(monkeypatch):
     assert_no_child()
 
 
-@pytest.mark.parametrize("by", ["shared", "one cpu", "threshold"])
-def test_a_shape_too_large_raises_numpys_memory_error(monkeypatch, forks, by):
-    shared(monkeypatch) if by == "shared" else serial(monkeypatch, by)
+def test_a_shape_too_large_raises_numpys_memory_error(monkeypatch, forks):
+    shared(monkeypatch)
+    with pytest.raises(MemoryError, match="Unable to allocate"):  # over a PiB, above any address space
+        _fork.fill_rows((10**12, 200), np.random.default_rng(0), rows_of)
+    assert forks == []
+
+
+@pytest.mark.parametrize("by", ["one cpu", "threshold"])
+def test_a_shape_too_large_without_a_child_raises_numpys_memory_error(monkeypatch, forks, by):
+    serial(monkeypatch, by)
     with pytest.raises(MemoryError, match="Unable to allocate"):  # over a PiB, above any address space
         _fork.fill_rows((10**12, 200), np.random.default_rng(0), rows_of)
     assert forks == []
