@@ -20,6 +20,8 @@ one child per row from it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from .stiefel import (
     StiefelPoint,
     _action_columns,
     _built,
+    _check_beta,
     _takes_action,
     geodesic,
     normalize_and_scale,
@@ -68,20 +71,19 @@ class AugmentConfig:
     rank: int | None = None
 
     def __post_init__(self) -> None:
-        for name in ("beta_u", "beta_v"):
-            b = getattr(self, name)
-            if not 0.0 <= b <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {b}")
-        if self.smooth_len < 1:
-            raise ValueError("smooth_len must be >= 1")
-        if self.rank is not None and self.rank < 1:
-            raise ValueError("rank must be a positive integer")
+        _check_beta(self.beta_u, "beta_u")
+        _check_beta(self.beta_v, "beta_v")
+        if not isinstance(self.smooth_len, Integral) or self.smooth_len < 1:
+            raise ValueError(f"smooth_len must be an integer >= 1, got {self.smooth_len}")
+        if self.rank is not None and (not isinstance(self.rank, Integral) or self.rank < 1):
+            raise ValueError(f"rank must be a positive integer, got {self.rank}")
         # a NaN alpha fails this comparison too
         if not -0.5 <= self.alpha <= 0.0:
             raise ValueError(f"alpha must lie in [-0.5, 0], got {self.alpha}")
 
-    @property
+    @cached_property
     def metric(self) -> MetricParams:
+        """The alpha-metric of every draw, built and checked once per config."""
         return MetricParams(self.alpha)
 
 

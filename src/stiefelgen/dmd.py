@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fda import FunctionalEnsemble
-from .stiefel import StiefelPoint, _built, _freeze, exp_map, normalize_and_scale, random_tangent
+from .stiefel import StiefelPoint, _built, _check_beta, _freeze, exp_map, normalize_and_scale, random_tangent
 
 __all__ = [
     "SnapshotMatrix",
@@ -115,11 +115,6 @@ def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, rng) ->
     u_r = exp_map(u_pt, normalize_and_scale(u_pt, random_tangent(u_pt, rng), beta)).matrix
     v_r = exp_map(v_pt, normalize_and_scale(v_pt, random_tangent(v_pt, rng), beta)).matrix
     return _assemble(snaps, u_r, s_r, v_r)
-
-
-def _check_beta(beta: float) -> None:
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
 
 
 def fit_dmd(snaps: SnapshotMatrix, rank: int) -> DmdModel:

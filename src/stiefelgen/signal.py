@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -82,13 +83,13 @@ def to_page_matrix(series: TimeSeries, m: int, strategy: str = "truncate") -> Pa
     matching the rounding rule.
 
     Raises:
-        ValueError: if m < 2, the series is shorter than 2*m, or the
-            strategy is unknown.
+        ValueError: if m is not an integer >= 2, the series is shorter
+            than 2*m, or the strategy is unknown.
     """
     if strategy not in FIT_STRATEGIES:
         raise ValueError(f"unknown fit strategy {strategy!r}")
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
+    if not isinstance(m, Integral) or m < 2:
+        raise ValueError(f"need an integer m >= 2, got {m}")
     values = series.values
     big_n = values.shape[0]
     if big_n < 2 * m:
@@ -144,8 +145,8 @@ def smooth(series: TimeSeries, window: int) -> TimeSeries:
 
     Output length equals input length; window = 1 is the identity.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    if not isinstance(window, Integral) or window < 1:
+        raise ValueError(f"window must be an integer >= 1, got {window}")
     if window == 1:
         return series
     values = series.values

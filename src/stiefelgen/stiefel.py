@@ -250,21 +250,14 @@ def inner_product(
     """
     _check_anchor(base, d1)
     _check_anchor(base, d2)
-    a, b = d1.delta, d2.delta
-    c = metric.weight_coefficient
-    ua = ub = None
-    if c != 0.0:
-        ua = _conj_t(base.matrix) @ a
-        ub = ua if d2 is d1 else _conj_t(base.matrix) @ b
-    return _weighted_inner(a, b, c, ua, ub)
+    ua = _conj_t(base.matrix) @ d1.delta
+    ub = ua if d2 is d1 else _conj_t(base.matrix) @ d2.delta
+    return _weighted_inner(d1.delta, d2.delta, metric.weight_coefficient, ua, ub)
 
 
 def _weighted_inner(a: np.ndarray, b: np.ndarray, c: float, ua, ub) -> float:
-    """Re tr(a* (I - c UU*) b) from the products ua = U*a and ub = U*b, which c = 0 leaves unread."""
-    val = np.sum(a.conj() * b)
-    if c != 0.0:
-        val -= c * np.sum(ua.conj() * ub)
-    return float(np.real(val))
+    """Re tr(a* (I - c UU*) b) from the products ua = U*a and ub = U*b."""
+    return float(np.real(np.sum(a.conj() * b) - c * np.sum(ua.conj() * ub)))
 
 
 def tangent_norm(
@@ -272,6 +265,12 @@ def tangent_norm(
 ) -> float:
     """Norm induced by the alpha-metric."""
     return float(np.sqrt(max(inner_product(base, d, d, metric), 0.0)))
+
+
+def _check_beta(beta: float, name: str = "beta") -> None:
+    """The range rule of every step scale, a share beta of the injectivity radius: [0, 1], so NaN fails."""
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {beta}")
 
 
 def normalize_and_scale(
@@ -289,8 +288,7 @@ def normalize_and_scale(
         ValueError: if beta is outside [0, 1], or if d is (numerically)
             zero while beta > 0.
     """
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+    _check_beta(beta)
     _check_anchor(base, d)
     if beta == 0.0:
         return _built(TangentVector, np.zeros_like(d.delta), base)
@@ -359,12 +357,14 @@ def matrix_exp(s: np.ndarray) -> np.ndarray:
 
 #: The exponential's action pays off only for few columns of a large factor.
 #: With single-threaded OpenBLAS on a 2-vCPU x86-64 VM (numpy 2.4.6, one-step
-#: beta = 1 canonical draws), _action_columns took this share of the dense
-#: draw's time (random_tangent, normalize_and_scale, geodesic): 0.54-2.1x at
-#: m = 64 (1-4 columns), 0.19-1.35x at m = 96 (1-6), and below m/16 columns
-#: 0.10-0.37x at m = 128, 0.04-0.22x at m = 200, 0.01-0.17x at m = 300. At
-#: m/16 columns it took 1.21x (128), 1.05x (200) and 0.87x (300): 15-19 blocks
-#: are kept at every shape, so there the kept corner is the whole generator.
+#: beta = 1 canonical draws, medians of 12 interleaved blocks), _action_columns
+#: took this share of the dense draw's time (random_tangent, normalize_and_scale,
+#: geodesic), rising with the columns: 0.52-1.60x at m = 64 (1-4 columns),
+#: 0.18-1.39x at m = 96 (1-6), and below m/16 columns 0.09-1.12x at m = 128,
+#: 0.04-0.91x at m = 200, 0.02-0.75x at m = 300 and 0.03-0.48x at m = 450. At
+#: m/16 columns it took 1.13-1.16x (128), 1.03-1.04x (200), 0.85x (300) and
+#: 0.68-0.70x (450): 15-18 blocks are kept at every shape, so there the kept
+#: corner is (nearly) the whole generator.
 _ACTION_MIN_DIM = 128
 _ACTION_COL_RATIO = 16
 
@@ -520,10 +520,11 @@ def exp_map(
     evaluated in one of two algebraically identical forms: a square base
     reduces to U exp_m(A); for m > n the first factor acts on U through
     the invariant subspace spanned by [U | Q], where Q and R come from
-    one QR of [U | K] with K = d - U A the normal component, giving an
-    (n + p) x (n + p) exponential with p = min(n, m - n) (Zimmermann &
-    Hueper, arXiv 2103.12046). Both forms multiply exponentials of skew
-    matrices onto U, so the result is orthonormal by construction.
+    one QR of [U | K] with K = d - U A the normal component, giving the
+    exponential of [[A/(a+1), -R*], [R, 0]], of size n + p with
+    p = min(n, m - n) (Zimmermann & Hueper, arXiv 2103.12046). Both forms
+    multiply exponentials of skew matrices onto U, so the result is
+    orthonormal by construction.
 
     A tangent whose metric norm exceeds the injectivity radius is
     accepted with a warning (the exploration of the full radius is
@@ -555,14 +556,13 @@ def exp_map(
         # one-parameter subgroup U exp_m(A).
         return _built(StiefelPoint, u @ matrix_exp(a_skew))
 
-    c = (2.0 * alpha + 1.0) / (alpha + 1.0)
     # Householder keeps q[:, n:] orthogonal to U even for a rank-deficient K,
     # and U* K = 0 leaves the dropped r[:n, n:] at rounding level
     q, r = np.linalg.qr(np.hstack([u, delta - u @ a_skew]))
     q, r = q[:, n:], r[n:, n:]
     p = r.shape[0]
     block = np.zeros((n + p, n + p), dtype=np.result_type(a_skew, r))
-    block[:n, :n] = (2.0 - c) * a_skew
+    block[:n, :n] = a_skew / (alpha + 1.0)
     block[:n, n:] = -_conj_t(r)
     block[n:, :n] = r
     e = matrix_exp(block)[:, :n]

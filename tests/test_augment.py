@@ -19,7 +19,8 @@ from stiefelgen.augment import (
     stiefelgen_matrix,
     stiefelgen_series,
 )
-from stiefelgen.signal import TimeSeries, to_page_matrix
+from stiefelgen.dmd import ensemble_forecast, perturbed_fit, synth_spatiotemporal
+from stiefelgen.signal import TimeSeries, smooth, to_page_matrix
 from stiefelgen.stiefel import (
     CANONICAL,
     INJECTIVITY_RADIUS,
@@ -179,6 +180,55 @@ class TestStiefelgenMatrix:
         for alpha in (-1.0, -0.51, 0.5, np.nan):
             with pytest.raises(ValueError, match="alpha"):
                 AugmentConfig(alpha=alpha)
+
+
+def beta_callers():
+    """Each entry point that takes a step scale, as (name in its message, call with that scale)."""
+    base = StiefelPoint(np.eye(4, 2))
+    tangent = random_tangent(base, np.random.default_rng(0))
+    snaps = synth_spatiotemporal(np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 4.0 * np.pi, 20))
+    return {
+        "AugmentConfig(beta_u)": ("beta_u", lambda beta, rng: AugmentConfig(beta_u=beta)),
+        "AugmentConfig(beta_v)": ("beta_v", lambda beta, rng: AugmentConfig(beta_v=beta)),
+        "normalize_and_scale": ("beta", lambda beta, rng: normalize_and_scale(base, tangent, beta)),
+        "perturbed_fit": ("beta", lambda beta, rng: perturbed_fit(snaps, 2, beta, rng)),
+        "ensemble_forecast": ("beta", lambda beta, rng: ensemble_forecast(snaps, 2, beta, 3, [0.0, 1.0], rng)),
+    }
+
+
+@pytest.mark.parametrize("beta", [-0.1, 1.5, np.nan])
+@pytest.mark.parametrize("caller", sorted(beta_callers()))
+def test_one_beta_rule_and_message_everywhere(caller, beta):
+    name, call = beta_callers()[caller]
+    rng = np.random.default_rng(1)
+    with pytest.raises(ValueError) as err:
+        call(beta, rng)
+    assert str(err.value) == f"{name} must lie in [0, 1], got {beta}"
+    # rejected before any member's child stream is spawned, so before a child process is forked
+    assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+def test_a_config_builds_its_metric_once():
+    cfg = AugmentConfig(alpha=-0.25)
+    assert cfg.metric is cfg.metric and cfg.metric.alpha == -0.25
+
+
+#: size parameter -> a call that takes it; each is given a numpy integer that passes, then a float
+SIZES = {
+    "window": lambda size: smooth(TimeSeries(np.arange(40.0)), size),
+    "smooth_len": lambda size: AugmentConfig(smooth_len=size),
+    "rank": lambda size: AugmentConfig(rank=size),
+    "m": lambda size: to_page_matrix(TimeSeries(np.arange(40.0)), size),
+}
+
+
+@pytest.mark.parametrize("size", [2.0, 2.5])
+@pytest.mark.parametrize("name", sorted(SIZES))
+def test_a_non_integral_size_is_rejected_by_name(name, size):
+    SIZES[name](np.int64(2))
+    with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
+        SIZES[name](size)
+    assert "integer" in str(err.value) and str(err.value).endswith(f"got {size}")
 
 
 class TestSeedingAcrossBeta:
