@@ -33,6 +33,7 @@ from .stiefel import (
     _action_columns,
     _built,
     _check_beta,
+    _check_integer,
     _takes_action,
     geodesic,
     normalize_and_scale,
@@ -216,6 +217,7 @@ def geodesic_path(
     bitwise on every route. In rank mode every element after the first
     carries the untouched residual dyads.
     """
+    _check_integer(steps, "steps")
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     mat = np.asarray(mat)
@@ -240,6 +242,7 @@ def batch_generate(
     gives the same ensemble every time. The same Generator passed a
     second time spawns new children, and so a different ensemble.
     """
+    _check_integer(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     pm = to_page_matrix(series, m, strategy)

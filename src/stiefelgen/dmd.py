@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fda import FunctionalEnsemble
-from .stiefel import StiefelPoint, _built, _check_beta, _freeze, exp_map, normalize_and_scale, random_tangent
+from .stiefel import StiefelPoint, _built, _check_beta, _check_integer, _freeze, exp_map, normalize_and_scale, random_tangent
 
 __all__ = [
     "SnapshotMatrix",
@@ -31,6 +31,9 @@ __all__ = [
 
 #: Condition-number ceiling on the truncated singular values.
 MAX_CONDITION = 1e12
+
+#: The sketched truncation's fixed test-matrix seed, extra columns and residual bound against sigma_r.
+_SKETCH_SEED, _SKETCH_OVERSAMPLE, _SKETCH_TOL = 20110317, 10, 1e-10
 
 
 @dataclass(frozen=True)
@@ -74,24 +77,42 @@ class DmdModel:
 
 
 def _truncate(snaps: SnapshotMatrix, rank: int) -> tuple:
-    """Rank-r truncated SVD (U_r, Sigma_r, V_r) of the first snapshot block.
+    """Rank-r truncated SVD (U_r, Sigma_r, V_r) of the first snapshot block X1.
 
-    U_r and V_r are StiefelPoints, orthonormal by construction.
+    Q = orth(X1 Omega), after one QR-stabilised power iteration, sketches X1 for a fixed Gaussian
+    Omega of rank + 10 columns, at most n - 1, that never reads a caller's Generator (Halko,
+    Martinsson & Tropp, SIAM Review 53, 2011). The SVD of B = Q* X1 is kept if ||X1 - Q B||_F is
+    at most 1e-10 sigma_r, else the full thin SVD of X1 is taken. On both, each u_j's largest-modulus
+    entry is made real and positive and v_j turned by the same phase, so X1, and the output up to
+    rounding, do not depend on the route. U_r and V_r are StiefelPoints, orthonormal by construction.
 
     Raises:
-        ValueError: for an out-of-range rank or a condition above MAX_CONDITION.
+        ValueError: for a non-integer or out-of-range rank, or a condition above MAX_CONDITION.
     """
     m, n = snaps.data.shape
+    _check_integer(rank, "rank")
     if not 1 <= rank <= min(m, n - 1):
         raise ValueError(f"rank must lie in [1, {min(m, n - 1)}], got {rank}")
-    u, s, vh = np.linalg.svd(snaps.data[:, :-1], full_matrices=False)
+    x1 = snaps.data[:, :-1]
+    omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n - 1, min(rank + _SKETCH_OVERSAMPLE, n - 1)))
+    q = np.linalg.qr(x1 @ omega)[0]
+    q = np.linalg.qr(x1 @ np.linalg.qr(x1.conj().T @ q)[0])[0]
+    b = q.conj().T @ x1
+    u, s, vh = np.linalg.svd(b, full_matrices=False)
+    if np.linalg.norm(x1 - q @ b) <= _SKETCH_TOL * s[rank - 1]:
+        u = q @ u
+    else:
+        u, s, vh = np.linalg.svd(x1, full_matrices=False)
     s_r = s[:rank]
     if s_r[-1] <= 0 or s_r[0] / s_r[-1] > MAX_CONDITION:
         raise ValueError(
             f"truncated singular values are ill-conditioned (condition "
             f"{s_r[0] / max(s_r[-1], np.finfo(float).tiny):.2e})"
         )
-    return _built(StiefelPoint, u[:, :rank]), s_r, _built(StiefelPoint, vh[:rank, :].conj().T)
+    u_r, v_r = u[:, :rank], vh[:rank, :].conj().T
+    peak = u_r[np.abs(u_r).argmax(axis=0), np.arange(rank)]
+    phase = peak.conj() / np.abs(peak)
+    return _built(StiefelPoint, u_r * phase), s_r, _built(StiefelPoint, v_r * phase)
 
 
 def _assemble(snaps: SnapshotMatrix, u_r: np.ndarray, s_r: np.ndarray, v_r: np.ndarray) -> DmdModel:
@@ -120,11 +141,11 @@ def _perturbed_model(snaps: SnapshotMatrix, factors: tuple, beta: float, rng) ->
 def fit_dmd(snaps: SnapshotMatrix, rank: int) -> DmdModel:
     """Fit rank-r linear snapshot dynamics.
 
-    Uses exact modes (X2 V_r inv(Sigma_r) W), which reproduce the
-    snapshots of rank-exact data without an extra projection.
+    Uses exact modes (X2 V_r inv(Sigma_r) W), which reproduce the snapshots of rank-exact
+    data without an extra projection, on a certified sketched truncation (_truncate).
 
     Raises:
-        ValueError: for an out-of-range rank, an ill-conditioned
+        ValueError: for a non-integer or out-of-range rank, an ill-conditioned
             truncation (condition above 1e12) or a zero eigenvalue.
     """
     u_r, s_r, v_r = _truncate(snaps, rank)
@@ -167,15 +188,15 @@ def ensemble_forecast(
 ) -> np.ndarray:
     """Real parts of `count` independently perturbed forecasts.
 
-    Returns an array of shape (count, M, len(times)); member k equals
-    perturbed_fit on the k-th child stream spawned from rng, so the
-    ensemble is deterministic per seed. The truncated SVD is computed
-    once and shared by all members, which batch_generate's row loop
-    makes (_fork.fill_rows). An int spatial_index returns the
-    (count, len(times)) slice at that location alone, bitwise, without
-    holding the full array: use it when one location is read, and
-    slice_ensemble on the full array when several are.
+    Returns an array of shape (count, M, len(times)); member k equals perturbed_fit on the
+    k-th child stream spawned from rng, so the ensemble is deterministic per seed. The
+    truncated SVD, a certified sketch that never reads rng (_truncate), is computed once,
+    after every argument check, and shared by all members, which batch_generate's row loop
+    makes (_fork.fill_rows). An int spatial_index returns the (count, len(times)) slice at
+    that location alone, bitwise, without holding the full array: use it when one location
+    is read, and slice_ensemble on the full array when several are.
     """
+    _check_integer(count, "count")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     _check_beta(beta)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -271,6 +272,12 @@ def _check_beta(beta: float, name: str = "beta") -> None:
     """The range rule of every step scale, a share beta of the injectivity radius: [0, 1], so NaN fails."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {beta}")
+
+
+def _check_integer(size, name: str) -> None:
+    """Reject a size that is not an integer, a float such as 2.0 too, before any work; numpy integers pass."""
+    if not isinstance(size, Integral):
+        raise ValueError(f"{name} must be an integer, got {size}")
 
 
 def normalize_and_scale(

@@ -19,7 +19,7 @@ from stiefelgen.augment import (
     stiefelgen_matrix,
     stiefelgen_series,
 )
-from stiefelgen.dmd import ensemble_forecast, perturbed_fit, synth_spatiotemporal
+from stiefelgen.dmd import ensemble_forecast, fit_dmd, perturbed_fit, synth_spatiotemporal
 from stiefelgen.signal import TimeSeries, smooth, to_page_matrix
 from stiefelgen.stiefel import (
     CANONICAL,
@@ -229,6 +229,36 @@ def test_a_non_integral_size_is_rejected_by_name(name, size):
     with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
         SIZES[name](size)
     assert "integer" in str(err.value) and str(err.value).endswith(f"got {size}")
+
+
+def factoring_sizes():
+    """Each size taken by a call that factors its input, as (name in its message, call with that size)."""
+    snaps = synth_spatiotemporal(np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 4.0 * np.pi, 20))
+    series, cfg, rng = TimeSeries(np.arange(40.0)), AugmentConfig(), np.random.default_rng
+    return {
+        "fit_dmd(rank)": ("rank", lambda size: fit_dmd(snaps, size)),
+        "perturbed_fit(rank)": ("rank", lambda size: perturbed_fit(snaps, size, 0.2, rng(0))),
+        "ensemble_forecast(rank)": ("rank", lambda size: ensemble_forecast(snaps, size, 0.2, 3, [0.0], rng(0))),
+        "ensemble_forecast(count)": ("count", lambda size: ensemble_forecast(snaps, 2, 0.2, size, [0.0], rng(0))),
+        "batch_generate(count)": ("count", lambda size: batch_generate(series, size, 4, cfg, rng(0))),
+        "geodesic_path(steps)": ("steps", lambda size: geodesic_path(sine_matrix(), cfg, size, rng(0))),
+    }
+
+
+@pytest.mark.parametrize("size", [2.0, 2.5])
+@pytest.mark.parametrize("caller", sorted(factoring_sizes()))
+def test_a_non_integral_size_is_rejected_before_factoring(caller, size, monkeypatch):
+    name, call = factoring_sizes()[caller]
+    call(np.int64(2))
+
+    def factor(*args, **kwargs):
+        raise AssertionError("the input was factored before its sizes were checked")
+
+    monkeypatch.setattr(np.linalg, "svd", factor)
+    monkeypatch.setattr(np.linalg, "qr", factor)
+    with pytest.raises(ValueError) as err:
+        call(size)
+    assert str(err.value) == f"{name} must be an integer, got {size}"
 
 
 class TestSeedingAcrossBeta:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from stiefelgen import dmd
 from stiefelgen.dmd import (
@@ -218,10 +219,12 @@ class TestEnsembleForecast:
 
     @pytest.fixture
     def no_svd(self, monkeypatch):
-        def svd(*args, **kwargs):
+        # the sketched truncation factors with QR before its first SVD
+        def factor(*args, **kwargs):
             raise AssertionError("the shared SVD was computed before the arguments were checked")
 
-        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(np.linalg, "svd", factor)
+        monkeypatch.setattr(np.linalg, "qr", factor)
 
     @pytest.mark.parametrize(
         "rank, beta, count, message",
@@ -229,6 +232,8 @@ class TestEnsembleForecast:
             (2, 1.5, 3, r"beta must lie in \[0, 1\], got 1.5"),
             (0, 0.2, 3, r"rank must lie in \[1, 49\], got 0"),
             (2, 0.2, 0, "count must be >= 1, got 0"),
+            (2.0, 0.2, 3, r"rank must be an integer, got 2.0"),
+            (2, 0.2, 2.0, r"count must be an integer, got 2.0"),
         ],
     )
     def test_rejects_bad_arguments(self, rank, beta, count, message, no_svd):
@@ -280,6 +285,102 @@ class TestTruncate:
         assert u_r.matrix.shape == (60, rank) and v_r.matrix.shape == (49, rank)
         StiefelPoint(u_r.matrix)
         StiefelPoint(v_r.matrix)
+
+
+def phase_fixed_svd(snaps: SnapshotMatrix, rank: int) -> tuple:
+    """(U_r, sigma_r, V_r) from the full thin SVD of X1, each u_j's largest-modulus entry turned real positive."""
+    u, s, vh = np.linalg.svd(snaps.data[:, :-1], full_matrices=False)
+    u_r = u[:, :rank]
+    peak = u_r[np.abs(u_r).argmax(axis=0), np.arange(rank)]
+    phase = peak.conj() / np.abs(peak)
+    return u_r * phase, s[:rank], vh[:rank, :].conj().T * phase
+
+
+def noisy_waves(rank):
+    snaps, _, _ = waves_fixture(60, 50)
+    return SnapshotMatrix(snaps.data + 1e-3 * np.random.default_rng(rank).standard_normal((60, 50)), snaps.dt)
+
+
+def random_complex(rank):
+    data = np.random.default_rng(rank + 40).standard_normal((2, 60, 50))
+    return SnapshotMatrix(data[0] + 1j * data[1], 0.1)
+
+
+class TestSketchedTruncation:
+    """_truncate's sketch route, its certificate, its fallback to the full SVD, and the one phase convention."""
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        shapes, svd = [], np.linalg.svd
+
+        def spy(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return shapes
+
+    def test_the_fixture_takes_the_sketch_at_the_full_routes_factors(self, svd_shapes):
+        snaps, _, _ = waves_fixture()
+        u_r, s_r, v_r = dmd._truncate(snaps, 2)
+        assert svd_shapes == [(12, 199)]  # rank + 10 sketch columns; X1 itself is never factored
+        for got, want in zip((u_r.matrix, s_r, v_r.matrix), phase_fixed_svd(snaps, 2)):
+            assert np.abs(got - want).max() < 1e-12
+
+    def test_the_fixtures_members_match_the_full_route(self):
+        # the forecast workload's dmd-ensemble: 30 members at slice 200, under bench seed 5's command seed
+        snaps, _, t = waves_fixture()
+        seed = int(np.random.SeedSequence([5, 0x5EED]).generate_state(1)[0])
+        got = ensemble_forecast(snaps, 2, 0.2, 30, t, np.random.default_rng(seed), spatial_index=200)
+        u_r, s_r, v_r = phase_fixed_svd(snaps, 2)
+        factors = (StiefelPoint(u_r), s_r, StiefelPoint(v_r))
+        for k, child in enumerate(np.random.default_rng(seed).spawn(30)):
+            want = forecast(dmd._perturbed_model(snaps, factors, 0.2, child), t).real[200]
+            assert np.abs(got[k] - want).max() < 1e-12
+
+    @pytest.mark.parametrize("make", [noisy_waves, random_complex])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_other_inputs_fall_back_to_the_full_svd_bitwise(self, make, rank, svd_shapes):
+        snaps = make(rank)
+        u_r, s_r, v_r = dmd._truncate(snaps, rank)
+        assert svd_shapes == [(rank + 10, 49), (60, 49)]
+        for got, want in zip((u_r.matrix, s_r, v_r.matrix), phase_fixed_svd(snaps, rank)):
+            assert np.array_equal(got, want)
+
+    def test_factors_keep_x1(self):
+        snaps, _, _ = waves_fixture(60, 50)
+        u_r, s_r, v_r = dmd._truncate(snaps, 2)
+        x1 = snaps.data[:, :-1]
+        assert np.abs(u_r.matrix * s_r @ v_r.matrix.conj().T - x1).max() < 1e-12 * np.abs(x1).max()
+        peak = u_r.matrix[np.abs(u_r.matrix).argmax(axis=0), [0, 1]]
+        assert np.abs(peak.imag).max() < 1e-16 and np.all(peak.real > 0)
+
+    def test_the_callers_generator_only_spawns_the_members(self):
+        snaps, _, t = waves_fixture(60, 50)
+        rng, want = np.random.default_rng(12), np.random.default_rng(12)
+        ensemble_forecast(snaps, 2, 0.2, 5, t, rng)
+        want.spawn(5)
+        assert rng.bit_generator.state == want.bit_generator.state
+        assert rng.bit_generator.seed_seq.n_children_spawned == 5
+
+
+def test_the_member_law_is_phase_free():
+    # a column phase D of (U_r, V_r) keeps X1 and the law: P_{UD}(G D) = P_U(G) D, complex normals are
+    # circular, and the step and exp_map are right-U(r)-equivariant; only single draws move
+    snaps, _, t = waves_fixture(60, 50)
+    u_r, s_r, v_r = dmd._truncate(snaps, 2)
+    phase = np.exp(1j * np.array([0.7, -2.1]))
+    turned = (StiefelPoint(u_r.matrix * phase), s_r, StiefelPoint(v_r.matrix * phase))
+
+    def values(factors, seed, count=300, beta=0.3):
+        gens = np.random.default_rng(seed).spawn(count)
+        return np.array([forecast(dmd._perturbed_model(snaps, factors, beta, g), t[5:6]).real[20, 0] for g in gens])
+
+    plain = values((u_r, s_r, v_r), 21)  # standard deviation 0.06
+    assert scipy.stats.ks_2samp(plain, values(turned, 22)).pvalue > 1e-3
+    assert np.abs(values(turned, 21, 20) - plain[:20]).max() > 0.05  # the same streams give other members
+    # the statistic has the power to tell a step 1/6 shorter
+    assert scipy.stats.ks_2samp(plain, values((u_r, s_r, v_r), 22, beta=0.25)).pvalue < 1e-6
 
 
 class TestSnapshotMatrix:
