@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral
 
 import numpy as np
 
@@ -74,10 +73,9 @@ class AugmentConfig:
     def __post_init__(self) -> None:
         _check_beta(self.beta_u, "beta_u")
         _check_beta(self.beta_v, "beta_v")
-        if not isinstance(self.smooth_len, Integral) or self.smooth_len < 1:
-            raise ValueError(f"smooth_len must be an integer >= 1, got {self.smooth_len}")
-        if self.rank is not None and (not isinstance(self.rank, Integral) or self.rank < 1):
-            raise ValueError(f"rank must be a positive integer, got {self.rank}")
+        _check_integer(self.smooth_len, "smooth_len", 1)
+        if self.rank is not None:
+            _check_integer(self.rank, "rank", 1)
         # a NaN alpha fails this comparison too
         if not -0.5 <= self.alpha <= 0.0:
             raise ValueError(f"alpha must lie in [-0.5, 0], got {self.alpha}")
@@ -120,15 +118,15 @@ class _Factorization:
         mat = np.asarray(mat)
         if mat.ndim != 2 or min(mat.shape) < 2:
             raise ValueError(f"need a matrix with min(m, n) >= 2, got shape {mat.shape}")
+        k = min(mat.shape)
+        if rank is not None:
+            _check_integer(rank, "rank", 1, k)
         # a single-precision SVD, real or complex, leaves factors orthonormal only to that precision,
         # so float32 and complex64 pages are cast to double; float64 and complex128 stay as given
         mat = mat.astype(np.result_type(mat, np.float64), copy=False)
         # the SVD may return non-finite factors, or not return, for an infinite entry
         if not np.all(np.isfinite(mat)):
             raise ValueError("matrix has non-finite entries")
-        k = min(mat.shape)
-        if rank is not None and rank >= k:
-            raise ValueError(f"rank must be < min(m, n) = {k}, got {rank}")
         dense = rank is None and not _takes_action(max(mat.shape), k)
         u1, sigma, v1h = np.linalg.svd(mat, full_matrices=dense)
         d = self.cols = k if rank is None else rank
@@ -217,9 +215,7 @@ def geodesic_path(
     bitwise on every route. In rank mode every element after the first
     carries the untouched residual dyads.
     """
-    _check_integer(steps, "steps")
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
+    _check_integer(steps, "steps", 1)
     mat = np.asarray(mat)
     start = np.array(mat, dtype=np.result_type(mat, np.float64))
     return [start] + _Factorization(mat, cfg.rank).path(cfg, rng, steps)
@@ -242,9 +238,7 @@ def batch_generate(
     gives the same ensemble every time. The same Generator passed a
     second time spawns new children, and so a different ensemble.
     """
-    _check_integer(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_integer(count, "count", 1)
     pm = to_page_matrix(series, m, strategy)
     fac = _Factorization(pm.data, cfg.rank)
     from ._fork import fill_rows  # imported on first use, so that `import stiefelgen` does no more work

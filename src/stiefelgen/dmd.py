@@ -79,24 +79,21 @@ class DmdModel:
 def _truncate(snaps: SnapshotMatrix, rank: int) -> tuple:
     """Rank-r truncated SVD (U_r, Sigma_r, V_r) of the first snapshot block X1.
 
-    Q = orth(X1 Omega), after one QR-stabilised power iteration, sketches X1 for a fixed Gaussian
-    Omega of rank + 10 columns, at most n - 1, that never reads a caller's Generator (Halko,
-    Martinsson & Tropp, SIAM Review 53, 2011). The SVD of B = Q* X1 is kept if ||X1 - Q B||_F is
-    at most 1e-10 sigma_r, else the full thin SVD of X1 is taken. On both, each u_j's largest-modulus
-    entry is made real and positive and v_j turned by the same phase, so X1, and the output up to
-    rounding, do not depend on the route. U_r and V_r are StiefelPoints, orthonormal by construction.
+    Q = orth(X1 Omega) sketches X1 for a fixed Gaussian Omega of rank + 10 columns, at most n - 1,
+    that never reads a caller's Generator (Halko, Martinsson & Tropp, SIAM Review 53, 2011). The
+    SVD of B = Q* X1 is kept if ||X1 - Q B||_F is at most 1e-10 sigma_r, else the full thin SVD of
+    X1 is taken. On both, each u_j's largest-modulus entry is made real and positive and v_j turned
+    by the same phase, so X1, and the output up to rounding, do not depend on the route. U_r and V_r
+    are StiefelPoints, orthonormal by construction.
 
     Raises:
         ValueError: for a non-integer or out-of-range rank, or a condition above MAX_CONDITION.
     """
     m, n = snaps.data.shape
-    _check_integer(rank, "rank")
-    if not 1 <= rank <= min(m, n - 1):
-        raise ValueError(f"rank must lie in [1, {min(m, n - 1)}], got {rank}")
+    _check_integer(rank, "rank", 1, min(m, n - 1) + 1)
     x1 = snaps.data[:, :-1]
     omega = np.random.default_rng(_SKETCH_SEED).standard_normal((n - 1, min(rank + _SKETCH_OVERSAMPLE, n - 1)))
     q = np.linalg.qr(x1 @ omega)[0]
-    q = np.linalg.qr(x1 @ np.linalg.qr(x1.conj().T @ q)[0])[0]
     b = q.conj().T @ x1
     u, s, vh = np.linalg.svd(b, full_matrices=False)
     if np.linalg.norm(x1 - q @ b) <= _SKETCH_TOL * s[rank - 1]:
@@ -196,12 +193,10 @@ def ensemble_forecast(
     that location alone, bitwise, without holding the full array: use it when one location
     is read, and slice_ensemble on the full array when several are.
     """
-    _check_integer(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    _check_integer(count, "count", 1)
     _check_beta(beta)
-    if spatial_index is not None and not 0 <= spatial_index < snaps.n_space:
-        raise ValueError(f"spatial_index must lie in [0, {snaps.n_space}), got {spatial_index}")
+    if spatial_index is not None:
+        _check_integer(spatial_index, "spatial_index", 0, snaps.n_space)
     factors = _truncate(snaps, rank)
     times = np.asarray(times, dtype=np.float64)
     loc = slice(None) if spatial_index is None else spatial_index  # no name keeps a member's M x T field
@@ -217,8 +212,7 @@ def slice_ensemble(forecasts: np.ndarray, spatial_index: int) -> FunctionalEnsem
     """
     if forecasts.ndim != 3:
         raise ValueError(f"forecasts must be 3-d (count, M, T), got shape {forecasts.shape}")
-    if not 0 <= spatial_index < forecasts.shape[1]:
-        raise ValueError(f"spatial_index must lie in [0, {forecasts.shape[1]}), got {spatial_index}")
+    _check_integer(spatial_index, "spatial_index", 0, forecasts.shape[1])
     return FunctionalEnsemble(forecasts[:, spatial_index, :])
 
 

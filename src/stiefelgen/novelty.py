@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, geodesic_path
-from .stiefel import _built, _freeze
+from .stiefel import _built, _check_integer, _freeze
 
 __all__ = [
     "SensorDataset",
@@ -88,8 +88,8 @@ def generate_shm_dataset(
     term; std = noise_std, 0 for the deterministic variant). Time runs
     uniformly over [0, DURATION_S).
     """
-    if sensors < 1 or obs_count < 1:
-        raise ValueError("sensors and obs_count must be positive")
+    _check_integer(sensors, "sensors", 1)
+    _check_integer(obs_count, "obs_count", 1)
     samples = int(round(RATE_HZ * DURATION_S))
     t = np.arange(samples) / RATE_HZ
     noise = NOISE_MEAN + noise_std * rng.standard_normal((obs_count, sensors, samples))
@@ -241,8 +241,7 @@ def perturb_and_track(
     (path of projected points, decision values, crossing), where
     crossing is the first step index with a negative decision, or None.
     """
-    if not 0 <= obs_index < dataset.count:
-        raise ValueError(f"obs_index out of range [0, {dataset.count})")
+    _check_integer(obs_index, "obs_index", 0, dataset.count)
     cfg = AugmentConfig(beta_u=beta, beta_v=beta, alpha=alpha)
     matrices = geodesic_path(dataset.observations[obs_index], cfg, steps, rng)
     path = [pca.project(mat) for mat in matrices]

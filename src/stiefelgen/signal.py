@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
-from .stiefel import _freeze
+from .stiefel import _check_integer, _freeze
 
 __all__ = [
     "FIT_STRATEGIES",
@@ -88,8 +87,7 @@ def to_page_matrix(series: TimeSeries, m: int, strategy: str = "truncate") -> Pa
     """
     if strategy not in FIT_STRATEGIES:
         raise ValueError(f"unknown fit strategy {strategy!r}")
-    if not isinstance(m, Integral) or m < 2:
-        raise ValueError(f"need an integer m >= 2, got {m}")
+    _check_integer(m, "m", 2)
     values = series.values
     big_n = values.shape[0]
     if big_n < 2 * m:
@@ -145,8 +143,7 @@ def smooth(series: TimeSeries, window: int) -> TimeSeries:
 
     Output length equals input length; window = 1 is the identity.
     """
-    if not isinstance(window, Integral) or window < 1:
-        raise ValueError(f"window must be an integer >= 1, got {window}")
+    _check_integer(window, "window", 1)
     if window == 1:
         return series
     values = series.values

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import TimeSeries, smooth
-from .stiefel import _freeze
+from .stiefel import _check_integer, _freeze
 
 __all__ = [
     "SPHERE_NORM_TOL",
@@ -115,11 +115,12 @@ def sphere_gen(
     t = 0 with smooth_len = 1 reproduces the input.
 
     Raises:
-        ValueError: for a non-finite t, or signals shorter than 2 samples
-            or identically zero.
+        ValueError: for a non-finite t, a smooth_len that is not an integer >= 1,
+            or signals shorter than 2 samples or identically zero.
     """
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    _check_integer(smooth_len, "smooth_len", 1)
     series = signal if isinstance(signal, TimeSeries) else TimeSeries(np.asarray(signal, dtype=np.float64))
     values = series.values
     if values.shape[0] < 2:

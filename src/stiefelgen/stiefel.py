@@ -274,10 +274,12 @@ def _check_beta(beta: float, name: str = "beta") -> None:
         raise ValueError(f"{name} must lie in [0, 1], got {beta}")
 
 
-def _check_integer(size, name: str) -> None:
-    """Reject a size that is not an integer, a float such as 2.0 too, before any work; numpy integers pass."""
-    if not isinstance(size, Integral):
-        raise ValueError(f"{name} must be an integer, got {size}")
+def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
+    """The rule of every size and index, checked before any work: a (numpy) integer, not a bool, in [low, high)."""
+    not_integer = isinstance(value, bool) or not isinstance(value, Integral)
+    if not_integer or value < low or (high is not None and value >= high):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
 
 
 def normalize_and_scale(

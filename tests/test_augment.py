@@ -1,6 +1,7 @@
 """Tests for the generation pipeline."""
 
 import copy
+import functools
 import itertools
 import tracemalloc
 
@@ -19,8 +20,10 @@ from stiefelgen.augment import (
     stiefelgen_matrix,
     stiefelgen_series,
 )
-from stiefelgen.dmd import ensemble_forecast, fit_dmd, perturbed_fit, synth_spatiotemporal
+from stiefelgen.dmd import ensemble_forecast, fit_dmd, perturbed_fit, slice_ensemble, synth_spatiotemporal
+from stiefelgen.novelty import fit_one_class, fit_pca, generate_shm_dataset, perturb_and_track
 from stiefelgen.signal import TimeSeries, smooth, to_page_matrix
+from stiefelgen.sphere import sphere_gen
 from stiefelgen.stiefel import (
     CANONICAL,
     INJECTIVITY_RADIUS,
@@ -213,52 +216,93 @@ def test_a_config_builds_its_metric_once():
     assert cfg.metric is cfg.metric and cfg.metric.alpha == -0.25
 
 
-#: size parameter -> a call that takes it; each is given a numpy integer that passes, then a float
-SIZES = {
-    "window": lambda size: smooth(TimeSeries(np.arange(40.0)), size),
-    "smooth_len": lambda size: AugmentConfig(smooth_len=size),
-    "rank": lambda size: AugmentConfig(rank=size),
-    "m": lambda size: to_page_matrix(TimeSeries(np.arange(40.0)), size),
-}
+@functools.cache
+def integer_args():
+    """Every size and index argument, as caller -> (name, low, high or None, call with a value and a Generator).
 
-
-@pytest.mark.parametrize("size", [2.0, 2.5])
-@pytest.mark.parametrize("name", sorted(SIZES))
-def test_a_non_integral_size_is_rejected_by_name(name, size):
-    SIZES[name](np.int64(2))
-    with pytest.raises(ValueError, match=rf"\b{name}\b") as err:
-        SIZES[name](size)
-    assert "integer" in str(err.value) and str(err.value).endswith(f"got {size}")
-
-
-def factoring_sizes():
-    """Each size taken by a call that factors its input, as (name in its message, call with that size)."""
-    snaps = synth_spatiotemporal(np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 4.0 * np.pi, 20))
-    series, cfg, rng = TimeSeries(np.arange(40.0)), AugmentConfig(), np.random.default_rng
+    Each call passes for the numpy integer low; the rule is an integer in [low, high).
+    """
+    snaps = synth_spatiotemporal(np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 4.0 * np.pi, 20))  # DMD rank < 20
+    series, cfg, t = TimeSeries(np.arange(40.0)), AugmentConfig(), [0.0]
+    shm = generate_shm_dataset(2, 4, rng=np.random.default_rng(0))
+    pca = fit_pca(shm)
+    model = fit_one_class(pca.points)
     return {
-        "fit_dmd(rank)": ("rank", lambda size: fit_dmd(snaps, size)),
-        "perturbed_fit(rank)": ("rank", lambda size: perturbed_fit(snaps, size, 0.2, rng(0))),
-        "ensemble_forecast(rank)": ("rank", lambda size: ensemble_forecast(snaps, size, 0.2, 3, [0.0], rng(0))),
-        "ensemble_forecast(count)": ("count", lambda size: ensemble_forecast(snaps, 2, 0.2, size, [0.0], rng(0))),
-        "batch_generate(count)": ("count", lambda size: batch_generate(series, size, 4, cfg, rng(0))),
-        "geodesic_path(steps)": ("steps", lambda size: geodesic_path(sine_matrix(), cfg, size, rng(0))),
+        "smooth(window)": ("window", 1, None, lambda v, rng: smooth(series, v)),
+        "to_page_matrix(m)": ("m", 2, None, lambda v, rng: to_page_matrix(series, v)),
+        "AugmentConfig(smooth_len)": ("smooth_len", 1, None, lambda v, rng: AugmentConfig(smooth_len=v)),
+        "AugmentConfig(rank)": ("rank", 1, None, lambda v, rng: AugmentConfig(rank=v)),
+        "_Factorization(rank)": ("rank", 1, 16, lambda v, rng: augment._Factorization(sine_matrix(), v)),
+        "geodesic_path(steps)": ("steps", 1, None, lambda v, rng: geodesic_path(sine_matrix(), cfg, v, rng)),
+        "batch_generate(count)": ("count", 1, None, lambda v, rng: batch_generate(series, v, 4, cfg, rng)),
+        "sphere_gen(smooth_len)": ("smooth_len", 1, None, lambda v, rng: sphere_gen(series, smooth_len=v, rng=rng)),
+        "fit_dmd(rank)": ("rank", 1, 20, lambda v, rng: fit_dmd(snaps, v)),
+        "perturbed_fit(rank)": ("rank", 1, 20, lambda v, rng: perturbed_fit(snaps, v, 0.2, rng)),
+        "ensemble_forecast(rank)": ("rank", 1, 20, lambda v, rng: ensemble_forecast(snaps, v, 0.2, 3, t, rng)),
+        "ensemble_forecast(count)": ("count", 1, None, lambda v, rng: ensemble_forecast(snaps, 2, 0.2, v, t, rng)),
+        "ensemble_forecast(spatial_index)": (
+            "spatial_index", 0, 30, lambda v, rng: ensemble_forecast(snaps, 2, 0.2, 3, t, rng, spatial_index=v)
+        ),
+        "slice_ensemble(spatial_index)": (
+            "spatial_index", 0, 30, lambda v, rng: slice_ensemble(np.zeros((3, 30, 1)), v)
+        ),
+        "generate_shm_dataset(sensors)": ("sensors", 1, None, lambda v, rng: generate_shm_dataset(v, 4, rng=rng)),
+        "generate_shm_dataset(obs_count)": ("obs_count", 1, None, lambda v, rng: generate_shm_dataset(2, v, rng=rng)),
+        "perturb_and_track(obs_index)": (
+            "obs_index", 0, 4, lambda v, rng: perturb_and_track(shm, v, 0.2, pca, model, rng, steps=1)
+        ),
     }
 
 
+def integer_message(name, low, high, value):
+    span = f">= {low}" if high is None else f"in [{low}, {high})"
+    return f"{name} must be an integer {span}, got {value}"
+
+
 @pytest.mark.parametrize("size", [2.0, 2.5])
-@pytest.mark.parametrize("caller", sorted(factoring_sizes()))
-def test_a_non_integral_size_is_rejected_before_factoring(caller, size, monkeypatch):
-    name, call = factoring_sizes()[caller]
-    call(np.int64(2))
+@pytest.mark.parametrize("name", sorted({name for name, *_ in integer_args().values()}))
+def test_a_non_integral_size_is_rejected_by_name(name, size):
+    for _, low, high, call in (entry for entry in integer_args().values() if entry[0] == name):
+        call(np.int64(low), np.random.default_rng(0))
+        with pytest.raises(ValueError) as err:
+            call(size, np.random.default_rng(0))
+        assert str(err.value) == integer_message(name, low, high, size)
+
+
+def assert_rejected_before_any_work(caller, value, monkeypatch):
+    """The one message, raised with no factorization and no draw from, or spawn of, the caller's Generator."""
+    name, low, high, call = integer_args()[caller]
 
     def factor(*args, **kwargs):
         raise AssertionError("the input was factored before its sizes were checked")
 
     monkeypatch.setattr(np.linalg, "svd", factor)
     monkeypatch.setattr(np.linalg, "qr", factor)
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
     with pytest.raises(ValueError) as err:
-        call(size)
-    assert str(err.value) == f"{name} must be an integer, got {size}"
+        call(value, rng)
+    assert str(err.value) == integer_message(name, low, high, value)
+    assert rng.bit_generator.state == state and rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+@pytest.mark.parametrize("size", [2.0, 2.5, True])
+@pytest.mark.parametrize("caller", sorted(integer_args()))
+def test_a_non_integral_size_is_rejected_before_factoring(caller, size, monkeypatch):
+    assert_rejected_before_any_work(caller, size, monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "caller, value",
+    [
+        (caller, end)
+        for caller, (_, low, high, _) in sorted(integer_args().items())
+        for end in (low - 1, high)
+        if end is not None
+    ],
+)
+def test_an_out_of_range_size_is_rejected(caller, value, monkeypatch):
+    assert_rejected_before_any_work(caller, value, monkeypatch)
 
 
 class TestSeedingAcrossBeta:

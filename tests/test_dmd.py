@@ -226,16 +226,8 @@ class TestEnsembleForecast:
         monkeypatch.setattr(np.linalg, "svd", factor)
         monkeypatch.setattr(np.linalg, "qr", factor)
 
-    @pytest.mark.parametrize(
-        "rank, beta, count, message",
-        [
-            (2, 1.5, 3, r"beta must lie in \[0, 1\], got 1.5"),
-            (0, 0.2, 3, r"rank must lie in \[1, 49\], got 0"),
-            (2, 0.2, 0, "count must be >= 1, got 0"),
-            (2.0, 0.2, 3, r"rank must be an integer, got 2.0"),
-            (2, 0.2, 2.0, r"count must be an integer, got 2.0"),
-        ],
-    )
+    # rank, count and spatial_index are held to the one integer rule in tests/test_augment.py's integer table
+    @pytest.mark.parametrize("rank, beta, count, message", [(2, 1.5, 3, r"beta must lie in \[0, 1\], got 1.5")])
     def test_rejects_bad_arguments(self, rank, beta, count, message, no_svd):
         snaps, _, t = waves_fixture(60, 50)
         with pytest.raises(ValueError, match=message):
@@ -243,9 +235,9 @@ class TestEnsembleForecast:
 
     @pytest.mark.parametrize("index", [-1, 60])
     def test_rejects_out_of_range_spatial_index(self, index, no_svd):
-        # the same check as test_rejects_bad_arguments, for the spatial index M = 60, in both functions
+        # the integer rule for the spatial index, M = 60 here, in both functions
         snaps, _, t = waves_fixture(60, 50)
-        message = rf"spatial_index must lie in \[0, 60\), got {index}"
+        message = rf"spatial_index must be an integer in \[0, 60\), got {index}"
         with pytest.raises(ValueError, match=message):
             ensemble_forecast(snaps, 2, 0.2, 3, t, np.random.default_rng(0), spatial_index=index)
         with pytest.raises(ValueError, match=message):
@@ -346,6 +338,21 @@ class TestSketchedTruncation:
         assert svd_shapes == [(rank + 10, 49), (60, 49)]
         for got, want in zip((u_r.matrix, s_r, v_r.matrix), phase_fixed_svd(snaps, rank)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("noise, svds", [(0.0, [(12, 199)]), (1e-3, [(12, 199), (400, 199)])])
+    def test_one_qr_decides_the_route(self, noise, svds, svd_shapes, monkeypatch):
+        # the certificate is read on the first sketch: the fixture keeps it, the noisy fixture falls back
+        qr_shapes, qr = [], np.linalg.qr
+
+        def spy(a, *args, **kwargs):
+            qr_shapes.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", spy)
+        snaps, _, _ = waves_fixture()
+        data = snaps.data + noise * np.random.default_rng(3).standard_normal((400, 200))
+        dmd._truncate(SnapshotMatrix(data, snaps.dt), 2)
+        assert qr_shapes == [(400, 12)] and svd_shapes == svds
 
     def test_factors_keep_x1(self):
         snaps, _, _ = waves_fixture(60, 50)

@@ -60,7 +60,7 @@ class TestToPageMatrix:
             to_page_matrix(series(5), 3)
 
     def test_m_must_be_at_least_two(self):
-        with pytest.raises(ValueError, match="m >= 2"):
+        with pytest.raises(ValueError, match="m must be an integer >= 2, got 1"):
             to_page_matrix(series(10), 1)
 
     def test_unknown_strategy(self):
