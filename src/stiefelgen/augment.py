@@ -31,8 +31,9 @@ from .stiefel import (
     StiefelPoint,
     _action_columns,
     _built,
-    _check_beta,
     _check_integer,
+    _check_real,
+    _checked,
     _takes_action,
     geodesic,
     normalize_and_scale,
@@ -71,14 +72,12 @@ class AugmentConfig:
     rank: int | None = None
 
     def __post_init__(self) -> None:
-        _check_beta(self.beta_u, "beta_u")
-        _check_beta(self.beta_v, "beta_v")
+        _check_real(self.beta_u, "beta_u", 0, 1)
+        _check_real(self.beta_v, "beta_v", 0, 1)
         _check_integer(self.smooth_len, "smooth_len", 1)
         if self.rank is not None:
             _check_integer(self.rank, "rank", 1)
-        # a NaN alpha fails this comparison too
-        if not -0.5 <= self.alpha <= 0.0:
-            raise ValueError(f"alpha must lie in [-0.5, 0], got {self.alpha}")
+        _check_real(self.alpha, "alpha", -0.5, 0)
 
     @cached_property
     def metric(self) -> MetricParams:
@@ -262,15 +261,9 @@ def ambient_perturb(
     orthonormal and the output's singular values are not preserved;
     provided for comparison studies only.
     """
-    if not np.isfinite(sigma) or sigma < 0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError(f"need a 2-d matrix, got shape {mat.shape}")
-    # as in _Factorization: the SVD may not return for an infinite entry
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("matrix has non-finite entries")
-    u1, s, v1h = np.linalg.svd(mat, full_matrices=False)
+    _check_real(sigma, "sigma", 0, np.inf, "[)")
+    # the SVD may not return for an infinite entry
+    u1, s, v1h = np.linalg.svd(_checked(np.asarray(mat), 2, "matrix"), full_matrices=False)
     v1 = v1h.conj().T
     u_noisy = u1 + sigma * rng.standard_normal(u1.shape)
     v_noisy = v1 + sigma * rng.standard_normal(v1.shape)

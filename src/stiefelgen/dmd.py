@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fda import FunctionalEnsemble
-from .stiefel import StiefelPoint, _built, _check_beta, _check_integer, _freeze, exp_map, normalize_and_scale, random_tangent
+from .stiefel import StiefelPoint, _built, _check_integer, _check_real, _freeze
+from .stiefel import exp_map, normalize_and_scale, random_tangent
 
 __all__ = [
     "SnapshotMatrix",
@@ -47,8 +48,7 @@ class SnapshotMatrix:
         object.__setattr__(self, "data", _freeze(self.data, 2, "snapshot data", np.complex128))
         if self.n_time < 3:
             raise ValueError(f"need at least 3 snapshots, got {self.n_time}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        _check_real(self.dt, "dt", 0, np.inf, "()")
 
     @property
     def n_space(self) -> int:
@@ -163,7 +163,7 @@ def perturbed_fit(
     bitwise (the pipeline is shared), while the perturbed factors stay
     orthonormal for any beta.
     """
-    _check_beta(beta)
+    _check_real(beta, "beta", 0, 1)
     return _perturbed_model(snaps, _truncate(snaps, rank), beta, rng)
 
 
@@ -194,7 +194,7 @@ def ensemble_forecast(
     is read, and slice_ensemble on the full array when several are.
     """
     _check_integer(count, "count", 1)
-    _check_beta(beta)
+    _check_real(beta, "beta", 0, 1)
     if spatial_index is not None:
         _check_integer(spatial_index, "spatial_index", 0, snaps.n_space)
     factors = _truncate(snaps, rank)

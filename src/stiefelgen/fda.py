@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .stiefel import _built, _freeze, _read_only
+from .stiefel import _built, _check_real, _freeze, _read_only
 
 __all__ = [
     "FunctionalEnsemble",
@@ -109,14 +109,14 @@ def functional_boxplot(
     fence_factor times its pointwise width; outliers are the curves
     leaving the fences anywhere.
     """
-    if not (np.isfinite(fence_factor) and fence_factor >= 0.0):
-        raise ValueError(f"fence_factor must be finite and >= 0, got {fence_factor}")
+    _check_real(fence_factor, "fence_factor", 0, np.inf, "[)")
     proportions = tuple(proportions)
     if not proportions:
         raise ValueError("need at least one proportion")
     for i, p in enumerate(proportions):
-        if not 0.0 < p <= 1.0 or p in proportions[:i]:
-            raise ValueError(f"proportions must be distinct and lie in (0, 1], got {p} in {list(proportions)}")
+        _check_real(p, "proportions", 0, 1, "(]")
+        if p in proportions[:i]:
+            raise ValueError(f"proportions must be distinct, got {p} twice in {list(proportions)}")
 
     curves = ens.curves
     k, t = curves.shape

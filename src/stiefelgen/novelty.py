@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augment import AugmentConfig, geodesic_path
-from .stiefel import _built, _check_integer, _freeze
+from .stiefel import _built, _check_integer, _check_real, _freeze
 
 __all__ = [
     "SensorDataset",
@@ -90,6 +90,7 @@ def generate_shm_dataset(
     """
     _check_integer(sensors, "sensors", 1)
     _check_integer(obs_count, "obs_count", 1)
+    _check_real(noise_std, "noise_std", 0, np.inf, "[)")
     samples = int(round(RATE_HZ * DURATION_S))
     t = np.arange(samples) / RATE_HZ
     noise = NOISE_MEAN + noise_std * rng.standard_normal((obs_count, sensors, samples))
@@ -166,16 +167,12 @@ def fit_one_class(points: np.ndarray, nu: float = 0.1, gamma: float = 1e-3) -> O
             points.
         RuntimeError: if the KKT gap has not closed after MAX_SWEEPS sweeps.
     """
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[0] < 2:
-        raise ValueError("need at least 2 training points")
-    points = _freeze(points, 2, "training points")
-    if not 0.0 < nu <= 1.0:
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
-    # a NaN gamma fails this comparison too
-    if not 0.0 < gamma < np.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_real(nu, "nu", 0, 1, "(]")
+    _check_real(gamma, "gamma", 0, np.inf, "()")
+    points = _freeze(points, 2, "training points", np.float64)
     k = points.shape[0]
+    if k < 2:
+        raise ValueError(f"need at least 2 training points, got {k}")
     cap = 1.0 / (nu * k)
 
     d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=2)
@@ -280,8 +277,7 @@ def adversarial_candidate(ranking, percentile: float = 85.0):
     """
     if not ranking:
         raise ValueError("ranking is empty")
-    if not 0.0 < percentile < 100.0:
-        raise ValueError(f"percentile must lie in (0, 100), got {percentile}")
+    _check_real(percentile, "percentile", 0, 100, "()")
     norms = [norm for _, norm in ranking]
     rank = int(np.ceil(percentile / 100.0 * len(norms)))
     threshold = norms[rank - 1]

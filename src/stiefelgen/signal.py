@@ -50,8 +50,7 @@ class PageMatrix:
         object.__setattr__(self, "data", _freeze(self.data, 2, "page matrix", np.float64))
         if self.fit_strategy not in FIT_STRATEGIES:
             raise ValueError(f"unknown fit strategy {self.fit_strategy!r}")
-        if self.original_length < 1:
-            raise ValueError("original_length must be positive")
+        _check_integer(self.original_length, "original_length", 1)
 
     @property
     def m(self) -> int:

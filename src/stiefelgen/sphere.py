@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .signal import TimeSeries, smooth
-from .stiefel import _check_integer, _freeze
+from .stiefel import _check_integer, _check_real, _freeze
 
 __all__ = [
     "SPHERE_NORM_TOL",
@@ -71,9 +71,7 @@ def sphere_random_tangent(
     A standard-normal vector is projected via v - <p, v> p and rescaled
     onto the boundary only if its norm exceeds it.
     """
-    # a NaN boundary fails this comparison too
-    if not boundary > 0:
-        raise ValueError(f"boundary must be positive, got {boundary}")
+    _check_real(boundary, "boundary", 0, np.inf, "(]")
     p = base.p
     v = rng.standard_normal(p.shape[0])
     v = v - np.dot(p, v) * p
@@ -118,8 +116,7 @@ def sphere_gen(
         ValueError: for a non-finite t, a smooth_len that is not an integer >= 1,
             or signals shorter than 2 samples or identically zero.
     """
-    if not np.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _check_real(t, "t", -np.inf, np.inf, "()")
     _check_integer(smooth_len, "smooth_len", 1)
     series = signal if isinstance(signal, TimeSeries) else TimeSeries(np.asarray(signal, dtype=np.float64))
     values = series.values

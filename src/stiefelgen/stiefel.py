@@ -13,6 +13,10 @@ matrices without leaving the manifold:
 - the exponential retraction (closed form via matrix exponentials of
   skew matrices) and geodesics.
 
+Two rules hold every scalar argument, checked before any work with one
+message each: _check_integer for sizes and indices, _check_real for real
+parameters such as beta; neither takes a bool.
+
 All operations are pure functions of their inputs plus an explicitly
 passed RNG; the value types are immutable after construction and safe
 to share across threads. Parallel callers must use independent RNG
@@ -27,7 +31,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -99,6 +103,22 @@ def _built(cls, *fields):
     return out
 
 
+def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
+    """The rule of every size and index, checked before any work: a (numpy) integer, not a bool, in [low, high)."""
+    not_integer = isinstance(value, bool) or not isinstance(value, Integral)
+    if not_integer or value < low or (high is not None and value >= high):
+        span = f">= {low}" if high is None else f"in [{low}, {high})"
+        raise ValueError(f"{name} must be an integer {span}, got {value}")
+
+
+def _check_real(value, name: str, low: float, high: float, ends: str = "[]") -> None:
+    """The rule of every real scalar, checked before any work: a (numpy) real, not a bool, from low to high."""
+    left, right = ends  # "[" or "]" closes an end, "(" or ")" opens it; NaN fails every comparison
+    above = isinstance(value, Real) and not isinstance(value, bool) and (low < value or left == "[" and value == low)
+    if not (above and (value < high or right == "]" and value == high)):
+        raise ValueError(f"{name} must lie in {left}{low:g}, {high:g}{right}, got {value}")
+
+
 @dataclass(frozen=True)
 class MetricParams:
     """Parameter of the alpha-metric family.
@@ -112,9 +132,7 @@ class MetricParams:
     alpha: float = 0.0
 
     def __post_init__(self) -> None:
-        # a NaN alpha fails this comparison too
-        if not -1.0 < self.alpha < np.inf:
-            raise ValueError(f"alpha must be finite and > -1, got {self.alpha}")
+        _check_real(self.alpha, "alpha", -1, np.inf, "()")
 
     @property
     def weight_coefficient(self) -> float:
@@ -268,20 +286,6 @@ def tangent_norm(
     return float(np.sqrt(max(inner_product(base, d, d, metric), 0.0)))
 
 
-def _check_beta(beta: float, name: str = "beta") -> None:
-    """The range rule of every step scale, a share beta of the injectivity radius: [0, 1], so NaN fails."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {beta}")
-
-
-def _check_integer(value, name: str, low: int, high: int | None = None) -> None:
-    """The rule of every size and index, checked before any work: a (numpy) integer, not a bool, in [low, high)."""
-    not_integer = isinstance(value, bool) or not isinstance(value, Integral)
-    if not_integer or value < low or (high is not None and value >= high):
-        span = f">= {low}" if high is None else f"in [{low}, {high})"
-        raise ValueError(f"{name} must be an integer {span}, got {value}")
-
-
 def normalize_and_scale(
     base: StiefelPoint,
     d: TangentVector,
@@ -297,7 +301,7 @@ def normalize_and_scale(
         ValueError: if beta is outside [0, 1], or if d is (numerically)
             zero while beta > 0.
     """
-    _check_beta(beta)
+    _check_real(beta, "beta", 0, 1)
     _check_anchor(base, d)
     if beta == 0.0:
         return _built(TangentVector, np.zeros_like(d.delta), base)

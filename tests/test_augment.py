@@ -20,13 +20,22 @@ from stiefelgen.augment import (
     stiefelgen_matrix,
     stiefelgen_series,
 )
-from stiefelgen.dmd import ensemble_forecast, fit_dmd, perturbed_fit, slice_ensemble, synth_spatiotemporal
-from stiefelgen.novelty import fit_one_class, fit_pca, generate_shm_dataset, perturb_and_track
-from stiefelgen.signal import TimeSeries, smooth, to_page_matrix
-from stiefelgen.sphere import sphere_gen
+from stiefelgen.dmd import (
+    SnapshotMatrix,
+    ensemble_forecast,
+    fit_dmd,
+    perturbed_fit,
+    slice_ensemble,
+    synth_spatiotemporal,
+)
+from stiefelgen.fda import FunctionalEnsemble, functional_boxplot
+from stiefelgen.novelty import adversarial_candidate, fit_one_class, fit_pca, generate_shm_dataset, perturb_and_track
+from stiefelgen.signal import PageMatrix, TimeSeries, smooth, to_page_matrix
+from stiefelgen.sphere import SpherePoint, sphere_gen, sphere_random_tangent
 from stiefelgen.stiefel import (
     CANONICAL,
     INJECTIVITY_RADIUS,
+    MetricParams,
     StiefelPoint,
     TangentVector,
     exp_map,
@@ -185,32 +194,6 @@ class TestStiefelgenMatrix:
                 AugmentConfig(alpha=alpha)
 
 
-def beta_callers():
-    """Each entry point that takes a step scale, as (name in its message, call with that scale)."""
-    base = StiefelPoint(np.eye(4, 2))
-    tangent = random_tangent(base, np.random.default_rng(0))
-    snaps = synth_spatiotemporal(np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 4.0 * np.pi, 20))
-    return {
-        "AugmentConfig(beta_u)": ("beta_u", lambda beta, rng: AugmentConfig(beta_u=beta)),
-        "AugmentConfig(beta_v)": ("beta_v", lambda beta, rng: AugmentConfig(beta_v=beta)),
-        "normalize_and_scale": ("beta", lambda beta, rng: normalize_and_scale(base, tangent, beta)),
-        "perturbed_fit": ("beta", lambda beta, rng: perturbed_fit(snaps, 2, beta, rng)),
-        "ensemble_forecast": ("beta", lambda beta, rng: ensemble_forecast(snaps, 2, beta, 3, [0.0, 1.0], rng)),
-    }
-
-
-@pytest.mark.parametrize("beta", [-0.1, 1.5, np.nan])
-@pytest.mark.parametrize("caller", sorted(beta_callers()))
-def test_one_beta_rule_and_message_everywhere(caller, beta):
-    name, call = beta_callers()[caller]
-    rng = np.random.default_rng(1)
-    with pytest.raises(ValueError) as err:
-        call(beta, rng)
-    assert str(err.value) == f"{name} must lie in [0, 1], got {beta}"
-    # rejected before any member's child stream is spawned, so before a child process is forked
-    assert rng.bit_generator.seed_seq.n_children_spawned == 0
-
-
 def test_a_config_builds_its_metric_once():
     cfg = AugmentConfig(alpha=-0.25)
     assert cfg.metric is cfg.metric and cfg.metric.alpha == -0.25
@@ -251,6 +234,9 @@ def integer_args():
         "perturb_and_track(obs_index)": (
             "obs_index", 0, 4, lambda v, rng: perturb_and_track(shm, v, 0.2, pca, model, rng, steps=1)
         ),
+        "PageMatrix(original_length)": (
+            "original_length", 1, None, lambda v, rng: PageMatrix(np.ones((2, 2)), v, "truncate")
+        ),
     }
 
 
@@ -269,12 +255,11 @@ def test_a_non_integral_size_is_rejected_by_name(name, size):
         assert str(err.value) == integer_message(name, low, high, size)
 
 
-def assert_rejected_before_any_work(caller, value, monkeypatch):
+def assert_rejected_before_any_work(call, value, message, monkeypatch):
     """The one message, raised with no factorization and no draw from, or spawn of, the caller's Generator."""
-    name, low, high, call = integer_args()[caller]
 
     def factor(*args, **kwargs):
-        raise AssertionError("the input was factored before its sizes were checked")
+        raise AssertionError("the input was factored before its arguments were checked")
 
     monkeypatch.setattr(np.linalg, "svd", factor)
     monkeypatch.setattr(np.linalg, "qr", factor)
@@ -282,14 +267,20 @@ def assert_rejected_before_any_work(caller, value, monkeypatch):
     state = rng.bit_generator.state
     with pytest.raises(ValueError) as err:
         call(value, rng)
-    assert str(err.value) == integer_message(name, low, high, value)
+    assert str(err.value) == message
+    # rejected before any member's child stream is spawned, so before a child process is forked
     assert rng.bit_generator.state == state and rng.bit_generator.seed_seq.n_children_spawned == 0
+
+
+def assert_size_rejected(caller, value, monkeypatch):
+    name, low, high, call = integer_args()[caller]
+    assert_rejected_before_any_work(call, value, integer_message(name, low, high, value), monkeypatch)
 
 
 @pytest.mark.parametrize("size", [2.0, 2.5, True])
 @pytest.mark.parametrize("caller", sorted(integer_args()))
 def test_a_non_integral_size_is_rejected_before_factoring(caller, size, monkeypatch):
-    assert_rejected_before_any_work(caller, size, monkeypatch)
+    assert_size_rejected(caller, size, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +293,81 @@ def test_a_non_integral_size_is_rejected_before_factoring(caller, size, monkeypa
     ],
 )
 def test_an_out_of_range_size_is_rejected(caller, value, monkeypatch):
-    assert_rejected_before_any_work(caller, value, monkeypatch)
+    assert_size_rejected(caller, value, monkeypatch)
+
+
+@functools.cache
+def real_args():
+    """Every real parameter, as caller -> (name, interval as messages write it, call with a value and a Generator)."""
+    base = StiefelPoint(np.eye(4, 2))
+    tangent = random_tangent(base, np.random.default_rng(0))
+    snaps = synth_spatiotemporal(np.linspace(-10.0, 10.0, 30), np.linspace(0.0, 4.0 * np.pi, 20))
+    points = fit_pca(generate_shm_dataset(2, 4, rng=np.random.default_rng(0))).points
+    ens = FunctionalEnsemble(np.random.default_rng(0).standard_normal((5, 6)))
+    series, pole, t = TimeSeries(np.arange(1.0, 41.0)), SpherePoint(np.eye(3)[0]), [0.0, 1.0]
+    return {
+        "MetricParams(alpha)": ("alpha", "(-1, inf)", lambda v, rng: MetricParams(v)),
+        "AugmentConfig(alpha)": ("alpha", "[-0.5, 0]", lambda v, rng: AugmentConfig(alpha=v)),
+        "AugmentConfig(beta_u)": ("beta_u", "[0, 1]", lambda v, rng: AugmentConfig(beta_u=v)),
+        "AugmentConfig(beta_v)": ("beta_v", "[0, 1]", lambda v, rng: AugmentConfig(beta_v=v)),
+        "normalize_and_scale(beta)": ("beta", "[0, 1]", lambda v, rng: normalize_and_scale(base, tangent, v)),
+        "perturbed_fit(beta)": ("beta", "[0, 1]", lambda v, rng: perturbed_fit(snaps, 2, v, rng)),
+        "ensemble_forecast(beta)": ("beta", "[0, 1]", lambda v, rng: ensemble_forecast(snaps, 2, v, 3, t, rng)),
+        "ambient_perturb(sigma)": ("sigma", "[0, inf)", lambda v, rng: ambient_perturb(sine_matrix(), v, rng)),
+        "sphere_random_tangent(boundary)": (
+            "boundary", "(0, inf]", lambda v, rng: sphere_random_tangent(pole, v, rng=rng)
+        ),
+        "sphere_gen(boundary)": ("boundary", "(0, inf]", lambda v, rng: sphere_gen(series, boundary=v, rng=rng)),
+        "sphere_gen(t)": ("t", "(-inf, inf)", lambda v, rng: sphere_gen(series, v, rng=rng)),
+        "generate_shm_dataset(noise_std)": (
+            "noise_std", "[0, inf)", lambda v, rng: generate_shm_dataset(2, 4, rng=rng, noise_std=v)
+        ),
+        "fit_one_class(nu)": ("nu", "(0, 1]", lambda v, rng: fit_one_class(points, nu=v)),
+        "fit_one_class(gamma)": ("gamma", "(0, inf)", lambda v, rng: fit_one_class(points, gamma=v)),
+        "adversarial_candidate(percentile)": (
+            "percentile", "(0, 100)", lambda v, rng: adversarial_candidate([(0, 1.0), (1, 2.0)], v)
+        ),
+        "functional_boxplot(fence_factor)": (
+            "fence_factor", "[0, inf)", lambda v, rng: functional_boxplot(ens, fence_factor=v)
+        ),
+        "functional_boxplot(proportions)": ("proportions", "(0, 1]", lambda v, rng: functional_boxplot(ens, (v,))),
+        "SnapshotMatrix(dt)": ("dt", "(0, inf)", lambda v, rng: SnapshotMatrix(snaps.data, v)),
+    }
+
+
+def interval_ends(interval):
+    """(end, closed, the direction away from the interval) for each end of an interval written like "(0, inf]"."""
+    low, high = (float(end) for end in interval[1:-1].split(", "))
+    return [(low, interval[0] == "[", -np.inf), (high, interval[-1] == "]", np.inf)]
+
+
+def rejected_reals(interval):
+    """Each open end, the next float past each finite closed one, NaN, both bools and two values that are no real."""
+    ends = interval_ends(interval)
+    past = [np.nextafter(end, away) if closed else end for end, closed, away in ends if not (closed and np.isinf(end))]
+    return past + [np.nan, True, False, None, "0.5"]
+
+
+@pytest.mark.parametrize(
+    "caller, value",
+    [(caller, value) for caller, (_, interval, _) in sorted(real_args().items()) for value in rejected_reals(interval)],
+)
+def test_a_real_parameter_outside_its_interval_is_rejected(caller, value, monkeypatch):
+    name, interval, call = real_args()[caller]
+    assert_rejected_before_any_work(call, value, f"{name} must lie in {interval}, got {value}", monkeypatch)
+
+
+@pytest.mark.parametrize(
+    "caller, end",
+    [
+        (caller, end)
+        for caller, (_, interval, _) in sorted(real_args().items())
+        for end, closed, _ in interval_ends(interval)
+        if closed
+    ],
+)
+def test_a_closed_end_is_accepted_as_a_numpy_float(caller, end):
+    real_args()[caller][2](np.float64(end), np.random.default_rng(0))
 
 
 class TestSeedingAcrossBeta:
@@ -798,7 +863,7 @@ class TestAmbientPerturb:
     @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
     def test_rejects_a_non_matrix_before_the_svd(self, shape, rng):
         # these reached the SVD or the reconstruction and failed there with a numpy message
-        with pytest.raises(ValueError, match="need a 2-d matrix") as err:
+        with pytest.raises(ValueError, match="matrix must be 2-d") as err:
             ambient_perturb(np.ones(shape), 0.1, rng)
         assert f"got shape {shape}" in str(err.value)
 

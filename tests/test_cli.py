@@ -363,8 +363,9 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize(
         "flag, value, message",
-        [("--boundary", "nan", "boundary must be positive"), ("--t", "nan", "t must be finite"),
-         ("--t", "inf", "t must be finite"), ("--t", "-inf", "t must be finite")],
+        [("--boundary", "nan", "boundary must lie in (0, inf], got nan"),
+         ("--t", "nan", "t must lie in (-inf, inf), got nan"), ("--t", "inf", "t must lie in (-inf, inf), got inf"),
+         ("--t", "-inf", "t must lie in (-inf, inf), got -inf")],
     )
     def test_sphere_non_finite_flag_is_domain_error(self, tmp_path, signal_csv, flag, value, message, capsys):
         inp, _ = signal_csv
@@ -534,7 +535,7 @@ class TestOtherCommands:
         code = main(["fboxplot", "--in", str(inp), "--out", str(out), f"--fence={fence}"])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "fence_factor must be finite and >= 0" in err[0]
+        assert len(err) == 1 and f"fence_factor must lie in [0, inf), got {float(fence)}" in err[0]
         assert not out.exists()
 
     def test_fboxplot_duplicate_proportions_is_domain_error(self, tmp_path, capsys):
@@ -711,7 +712,7 @@ class TestShmDemo:
         argv = ["shm-demo", "--out", str(out), "--points-out", str(pts), "--steps", "1", f"--gamma={gamma}"]
         assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and "gamma must be positive and finite" in err[0]
+        assert len(err) == 1 and f"gamma must lie in (0, inf), got {float(gamma)}" in err[0]
         assert not out.exists() and not pts.exists()
 
     def test_unconverged_one_class_is_domain_error(self, tmp_path, monkeypatch, capsys):

@@ -189,8 +189,9 @@ class TestFunctionalBoxplot:
     @pytest.mark.parametrize("fence", [np.nan, np.inf, -np.inf, -5.0, -1e-12])
     def test_rejects_non_finite_or_negative_fence(self, rng, fence):
         ens = FunctionalEnsemble(rng.standard_normal((5, 5)))
-        with pytest.raises(ValueError, match="fence_factor must be finite and >= 0"):
+        with pytest.raises(ValueError) as err:
             functional_boxplot(ens, fence_factor=fence)
+        assert str(err.value) == f"fence_factor must lie in [0, inf), got {fence}"
 
     @pytest.mark.parametrize("t", [2, _MBD_BLOCK - 1, _MBD_BLOCK + 1, 2 * _MBD_BLOCK + 3])
     @pytest.mark.parametrize("order", ["C", "F"])

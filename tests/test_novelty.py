@@ -130,10 +130,15 @@ class TestOneClass:
         with pytest.raises(ValueError, match="non-finite"):
             fit_one_class(pts)
 
-    @pytest.mark.parametrize("shape", [(5,), (1, 3), (2, 2, 2)])
-    def test_rejects_too_few_or_misshapen_points(self, shape):
-        with pytest.raises(ValueError, match="need at least 2 training points"):
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((5,), "training points must be 2-d, got shape (5,)"), ((1, 3), "need at least 2 training points, got 1"),
+         ((2, 2, 2), "training points must be 2-d, got shape (2, 2, 2)")],
+    )
+    def test_rejects_too_few_or_misshapen_points(self, shape, message):
+        with pytest.raises(ValueError) as err:
             fit_one_class(np.zeros(shape))
+        assert str(err.value) == message
 
     def test_raises_when_the_sweeps_run_out(self, pca, monkeypatch):
         monkeypatch.setattr(novelty, "MAX_SWEEPS", 1)
